@@ -1,28 +1,29 @@
 //! Bench results as data: a [`BenchSuite`] session collects the
 //! [`BenchRecord`]s a bench binary produces, writes them to a deterministic
 //! `BENCH_<suite>.json` report, and — in `--check <baseline>` mode — fails
-//! the process when any bench's mean time regresses past a threshold
+//! the process when any bench's median time regresses past a threshold
 //! relative to a committed baseline report, or when the run and the
 //! baseline disagree about which benches exist (a dropped bench would
-//! otherwise silently escape the gate).
+//! otherwise silently escape the gate). The median, not the mean, is
+//! compared: one scheduler hiccup moves a mean but not a median.
 //!
-//! No serde: the environment is offline, so the encoder mirrors
-//! `StatsRegistry`'s hand-rolled style (sorted keys, `{:?}` float
-//! formatting) and the decoder is the ~80-line recursive-descent parser
-//! below, covering exactly the subset the reports use (objects, strings,
-//! numbers).
+//! No serde: the environment is offline, so the encoder streams
+//! `StatsRegistry`'s layout style (sorted keys, `{:?}` float formatting)
+//! by hand, and the baseline reader walks a [`qei_config::json`] tree —
+//! the workspace's one strict parser.
 //!
 //! CLI (arguments after `cargo bench --`):
 //!
 //! * `--check <path>` — compare against a baseline `BENCH_<suite>.json`
 //!   (or a directory containing one) and exit non-zero on regression;
-//! * `--threshold <pct>` — mean-time regression tolerance in percent
+//! * `--threshold <pct>` — median-time regression tolerance in percent
 //!   (default 25).
 //!
 //! `QEI_BENCH_OUT` names the directory reports are written to (default:
 //! the workspace root). Relative paths resolve against the workspace root,
 //! not the bench binary's working directory.
 
+use qei_config::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -34,9 +35,10 @@ pub struct BenchRecord {
     pub name: String,
     /// Fastest sampled call.
     pub min_ns: f64,
-    /// Mean over all samples — the statistic the regression gate compares.
+    /// Mean over all samples.
     pub mean_ns: f64,
-    /// Median over all samples (robust against scheduler outliers).
+    /// Median over all samples — the statistic the regression gate
+    /// compares (robust against scheduler outliers).
     pub median_ns: f64,
     /// Slowest sampled call.
     pub max_ns: f64,
@@ -44,7 +46,7 @@ pub struct BenchRecord {
     pub samples: usize,
 }
 
-/// Default mean-regression tolerance, in percent.
+/// Default median-regression tolerance, in percent.
 pub const DEFAULT_THRESHOLD_PCT: f64 = 25.0;
 
 /// A bench binary's result session: collects records, then writes the
@@ -158,7 +160,7 @@ impl BenchSuite {
         match compare(&self.records, &text, self.threshold_pct) {
             Ok(outcome) => {
                 println!(
-                    "check vs {} (mean-time threshold +{}%)",
+                    "check vs {} (median-time threshold +{}%)",
                     baseline.display(),
                     self.threshold_pct
                 );
@@ -214,214 +216,60 @@ fn resolve_against_workspace(p: &Path) -> PathBuf {
 
 // --- report encoding -------------------------------------------------------
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Renders the deterministic report: benches in sorted order, fields in
 /// sorted order, `{:?}` float formatting (matching `StatsRegistry`).
 pub fn render_report(suite: &str, records: &[BenchRecord]) -> String {
     let sorted: BTreeMap<&str, &BenchRecord> =
         records.iter().map(|r| (r.name.as_str(), r)).collect();
-    let mut out = String::from("{");
-    let _ = write!(out, "\"benches\":{{");
+    let mut out = String::from("{\"benches\":{");
     for (i, (name, r)) in sorted.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        json::write_string(&mut out, name);
         let _ = write!(
             out,
-            "{}:{{\"max_ns\":{:?},\"mean_ns\":{:?},\"median_ns\":{:?},\"min_ns\":{:?},\"samples\":{}}}",
-            json_string(name),
-            r.max_ns,
-            r.mean_ns,
-            r.median_ns,
-            r.min_ns,
-            r.samples
+            ":{{\"max_ns\":{:?},\"mean_ns\":{:?},\"median_ns\":{:?},\"min_ns\":{:?},\"samples\":{}}}",
+            r.max_ns, r.mean_ns, r.median_ns, r.min_ns, r.samples
         );
     }
-    let _ = write!(out, "}},\"suite\":{}}}", json_string(suite));
+    out.push_str("},\"suite\":");
+    json::write_string(&mut out, suite);
+    out.push('}');
     out
 }
 
 // --- report decoding -------------------------------------------------------
 
-/// The JSON subset the reports use.
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Num(f64),
-    Str(String),
-    Obj(BTreeMap<String, Json>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b) if b.is_ascii_digit() || *b == b'-' => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            map.insert(key, self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                other => {
-                    return Err(format!(
-                        "unexpected {other:?} in object at byte {}",
-                        self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(&c) => out.push(c as char),
-                        None => return Err("unterminated escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(&c) => {
-                    // Multi-byte UTF-8 passes through byte-wise; bench names
-                    // are ASCII in practice.
-                    out.push(c as char);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos == p.bytes.len() {
-        Ok(v)
-    } else {
-        Err(format!("trailing data at byte {}", p.pos))
-    }
-}
-
-/// Mean times per bench from a baseline report body.
-fn baseline_means(text: &str) -> Result<BTreeMap<String, f64>, String> {
-    let Json::Obj(root) = parse_json(text)? else {
-        return Err("report root is not an object".into());
-    };
-    let Some(Json::Obj(benches)) = root.get("benches") else {
+/// Median times per bench from a baseline report body: a strict
+/// [`json::parse`] (a duplicated bench name is an error, not a silent
+/// overwrite), then a `benches` object whose every record carries a
+/// numeric `median_ns`.
+///
+/// # Errors
+///
+/// A human-readable description of the first problem.
+pub fn baseline_medians(text: &str) -> Result<BTreeMap<String, f64>, String> {
+    let doc = json::parse(text)?;
+    let Some(Value::Obj(benches)) = doc.get("benches") else {
         return Err("report has no \"benches\" object".into());
     };
-    let mut means = BTreeMap::new();
-    for (name, entry) in benches {
-        let Json::Obj(fields) = entry else {
-            return Err(format!("bench {name:?} is not an object"));
-        };
-        let Some(Json::Num(mean)) = fields.get("mean_ns") else {
-            return Err(format!("bench {name:?} has no numeric mean_ns"));
-        };
-        means.insert(name.clone(), *mean);
-    }
-    Ok(means)
+    benches
+        .iter()
+        .map(
+            |(name, record)| match record.get("median_ns").and_then(Value::as_f64) {
+                Some(median) => Ok((name.clone(), median)),
+                None => Err(format!("bench {name:?} has no numeric median_ns")),
+            },
+        )
+        .collect()
 }
 
 /// Result of comparing a run against a baseline.
 struct CompareOutcome {
     /// Human-readable per-bench lines, in sorted bench order.
     lines: Vec<String>,
-    /// Names of benches whose mean regressed past the threshold.
+    /// Names of benches whose median regressed past the threshold.
     regressed: Vec<String>,
     /// Benches present on only one side — a stale baseline or a silently
     /// dropped bench, either of which would let regressions slip through.
@@ -436,30 +284,30 @@ fn compare(
     baseline_text: &str,
     threshold_pct: f64,
 ) -> Result<CompareOutcome, String> {
-    let baseline = baseline_means(baseline_text)?;
+    let baseline = baseline_medians(baseline_text)?;
     let current: BTreeMap<&str, &BenchRecord> =
         current.iter().map(|r| (r.name.as_str(), r)).collect();
     let mut lines = Vec::new();
     let mut regressed = Vec::new();
     let mut mismatched = Vec::new();
     for (name, rec) in &current {
-        let Some(&base_mean) = baseline.get(*name) else {
+        let Some(&base) = baseline.get(*name) else {
             lines.push(format!("{name:40} new bench (no baseline entry)"));
             mismatched.push((*name).to_owned());
             continue;
         };
-        let delta_pct = if base_mean > 0.0 {
-            (rec.mean_ns - base_mean) / base_mean * 100.0
-        } else if rec.mean_ns > 0.0 {
+        let delta_pct = if base > 0.0 {
+            (rec.median_ns - base) / base * 100.0
+        } else if rec.median_ns > 0.0 {
             f64::INFINITY
         } else {
             0.0
         };
         let fail = delta_pct > threshold_pct;
         lines.push(format!(
-            "{name:40} {:>12.1}ns mean vs {:>12.1}ns baseline  ({delta_pct:+.1}%)  {}",
-            rec.mean_ns,
-            base_mean,
+            "{name:40} {:>12.1}ns median vs {:>12.1}ns baseline  ({delta_pct:+.1}%)  {}",
+            rec.median_ns,
+            base,
             if fail { "REGRESSED" } else { "ok" }
         ));
         if fail {
@@ -483,13 +331,13 @@ fn compare(
 mod tests {
     use super::*;
 
-    fn rec(name: &str, mean_ns: f64) -> BenchRecord {
+    fn rec(name: &str, median_ns: f64) -> BenchRecord {
         BenchRecord {
             name: name.to_owned(),
-            min_ns: mean_ns * 0.8,
-            mean_ns,
-            median_ns: mean_ns * 0.95,
-            max_ns: mean_ns * 1.5,
+            min_ns: median_ns * 0.8,
+            mean_ns: median_ns * 1.05,
+            median_ns,
+            max_ns: median_ns * 1.5,
             samples: 50,
         }
     }
@@ -500,10 +348,10 @@ mod tests {
         let body = render_report("substrate", &records);
         // Benches sort by name regardless of record order.
         assert!(body.find("a_one").unwrap() < body.find("b/two").unwrap());
-        let means = baseline_means(&body).unwrap();
-        assert_eq!(means.len(), 2);
-        assert_eq!(means["a_one"], 60.0);
-        assert_eq!(means["b/two"], 120.5);
+        let medians = baseline_medians(&body).unwrap();
+        assert_eq!(medians.len(), 2);
+        assert_eq!(medians["a_one"], 60.0);
+        assert_eq!(medians["b/two"], 120.5);
     }
 
     #[test]
@@ -560,11 +408,33 @@ mod tests {
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("not json").is_err());
-        assert!(parse_json("{\"a\":}").is_err());
-        assert!(parse_json("{} trailing").is_err());
-        assert!(baseline_means("{\"suite\":\"s\"}").is_err());
+    fn compare_reads_medians_not_means() {
+        let baseline = render_report("s", &[rec("a", 100.0), rec("b", 100.0)]);
+        // An outlier-inflated mean with a steady median passes; a median
+        // regression fails even when the mean looks steady.
+        let mut noisy = rec("a", 100.0);
+        noisy.mean_ns = 1_000.0;
+        let mut slower = rec("b", 200.0);
+        slower.mean_ns = 105.0;
+        let outcome = compare(&[noisy, slower], &baseline, 25.0).unwrap();
+        assert_eq!(outcome.regressed, vec!["b".to_owned()]);
+        assert!(outcome.lines.iter().all(|l| l.contains("median")));
+    }
+
+    #[test]
+    fn baseline_reader_rejects_garbage() {
+        for bad in [
+            "not json",
+            "{\"a\":}",
+            "{} trailing",
+            "{\"suite\":\"s\"}",
+            "{\"benches\":{\"x\":{\"mean_ns\":1.0}}}",
+            "{\"benches\":{\"x\":{\"median_ns\":\"fast\"}}}",
+            "{\"benches\":{\"x\":{\"median_ns\":1.0},\"x\":{\"median_ns\":2.0}}}",
+            "{\"benches\":{\"\\q\":{\"median_ns\":1.0}}}",
+        ] {
+            assert!(baseline_medians(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

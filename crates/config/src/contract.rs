@@ -18,7 +18,7 @@
 /// assumed servicing levels for every memory access (uncontended, one query
 /// alone on the accelerator), so `cycles_l1 <= cycles_l2 <= cycles_llc <=
 /// cycles_dram` always holds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostContract {
     /// CFA name (as reported by the firmware program).
     pub cfa: String,

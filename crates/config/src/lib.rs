@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 pub mod contract;
 pub mod cycles;
+pub mod json;
 pub mod load;
 pub mod machine;
 pub mod registry;

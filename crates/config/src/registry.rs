@@ -8,8 +8,8 @@
 //! float formatting), so a `RunReport` is machine-readable and two identical
 //! runs — serial or parallel — produce byte-identical output.
 //!
-//! No serde: the environment is offline, so the JSON encoder is the ~40
-//! lines below.
+//! No serde: the environment is offline, so the encoder streams the tree
+//! by hand and escapes strings with [`crate::json::write_string`].
 //!
 //! # Example
 //!
@@ -24,6 +24,7 @@
 //! assert!(reg.to_json().starts_with("{\"core\":{"));
 //! ```
 
+use crate::json::write_string;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -110,7 +111,7 @@ impl StatValue {
                 }
             }
             StatValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-            StatValue::Str(v) => write_json_string(v, out),
+            StatValue::Str(v) => write_string(out, v),
             StatValue::Hist(buckets) => {
                 out.push('[');
                 for (i, (k, c)) in buckets.iter().enumerate() {
@@ -123,22 +124,6 @@ impl StatValue {
             }
         }
     }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A two-level tree of uniformly named statistics: `group` → `stat` → value.
@@ -204,13 +189,13 @@ impl StatsRegistry {
             if gi > 0 {
                 out.push(',');
             }
-            write_json_string(group, &mut out);
+            write_string(&mut out, group);
             out.push_str(":{");
             for (si, (name, value)) in stats.iter().enumerate() {
                 if si > 0 {
                     out.push(',');
                 }
-                write_json_string(name, &mut out);
+                write_string(&mut out, name);
                 out.push(':');
                 value.write_json(&mut out);
             }

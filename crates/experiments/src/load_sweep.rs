@@ -12,7 +12,7 @@
 use crate::render;
 use crate::suite::{engine, suite_specs, Scale};
 use qei_config::{LoadSpec, Scheme};
-use qei_sim::{RunMode, RunPlan, RunReport};
+use qei_sim::{RunPlan, RunReport};
 
 /// Swept mean inter-arrival gaps in cycles, densest last (offered load
 /// rises left to right in the rendered table).
@@ -112,13 +112,11 @@ pub fn rows(scale: Scale) -> Vec<LoadSweepRow> {
     let mut plans = Vec::new();
     for (_, scheme, blocking) in BACKENDS {
         for rate in RATES {
-            let mut builder = RunPlan::for_workload(spec).mode(RunMode::Served {
-                load: load_at(scale, rate, blocking),
-            });
-            if let Some(scheme) = scheme {
-                builder = builder.scheme(scheme);
-            }
-            plans.push(builder.build());
+            plans.push(RunPlan::served(
+                spec,
+                scheme,
+                load_at(scale, rate, blocking),
+            ));
         }
     }
     let reports = engine().run_all(&plans);
@@ -232,14 +230,11 @@ pub fn scaling_rows(scale: Scale, cores_list: &[u32]) -> Vec<ScalingRow> {
     let mut plans = Vec::new();
     for &cores in cores_list {
         for rate in RATES {
-            plans.push(
-                RunPlan::for_workload(spec)
-                    .mode(RunMode::Served {
-                        load: scaled_load_at(scale, rate, true, cores),
-                    })
-                    .scheme(Scheme::CoreIntegrated)
-                    .build(),
-            );
+            plans.push(RunPlan::served(
+                spec,
+                Some(Scheme::CoreIntegrated),
+                scaled_load_at(scale, rate, true, cores),
+            ));
         }
     }
     let reports = engine().run_all(&plans);

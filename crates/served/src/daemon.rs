@@ -793,6 +793,18 @@ mod tests {
         assert!(step.line().contains("\"ok\":true"));
     }
 
+    #[test]
+    fn a_megabyte_of_open_brackets_is_an_error_reply() {
+        let mut s = state();
+        let deep = "[".repeat(1 << 20);
+        for line in [deep.clone(), req(&format!("\"op\":\"ping\",\"x\":{deep}"))] {
+            let step = handle_line(&mut s, &line);
+            assert!(step.line().contains("\"ok\":false"), "{}", step.line());
+            assert!(step.line().contains("nesting"), "{}", step.line());
+        }
+        ok_line(&mut s, "\"op\":\"ping\"");
+    }
+
     /// Satellite: SimRng-driven malformed-request fuzzing. Truncations,
     /// byte substitutions, and field mutations of valid requests must all
     /// produce a structured error (or a valid success), never a panic, and

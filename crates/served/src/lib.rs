@@ -9,9 +9,10 @@
 //! clients drive it with a line protocol.
 //!
 //! * [`protocol`] — the `qei-served-v1` wire format: one strict JSON
-//!   object per line, schema-tagged, hand-rolled like the cost-contract
-//!   store (offline workspace — no serde). Malformed input yields a
-//!   structured error line, never a panic or a wedged daemon.
+//!   object per line, schema-tagged, parsed by the workspace's one codec
+//!   ([`qei_config::json`], depth-capped) plus the protocol's own field
+//!   rules. Malformed input yields a structured error line, never a panic
+//!   or a wedged daemon.
 //! * [`daemon`] — the state machine ([`daemon::handle_line`]) and the
 //!   socket accept loop ([`daemon::serve`]). Ops: `ping`, `build`,
 //!   `snapshot`, `revert`, `digest`, `run`, `query`, `mutate`, `stats`,

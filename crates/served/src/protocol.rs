@@ -8,59 +8,26 @@
 //! {"schema":"qei-served-v1","op":"build","session":"a","kind":"jvm-gc","guest_seed":7,"build_seed":2}
 //! ```
 //!
-//! The parser is strict, mirroring the cost-contract store's conventions
-//! (`qei-verify`): unknown schemas, duplicate fields, unknown fields,
-//! missing fields, non-scalar values, and trailing bytes are all rejected
-//! with an error message that names the offender. Scalars are strings,
-//! unsigned integers, and booleans — everything the protocol needs, and
-//! nothing that parses ambiguously. Hand-rolled: the workspace builds
-//! offline, so no serde.
+//! Lines are parsed by the workspace's one strict codec,
+//! [`qei_config::json`], which already rejects malformed JSON, duplicate
+//! fields, trailing bytes, and nesting past its depth cap. This module adds
+//! the protocol's own rules: the schema tag comes first and matches
+//! [`SCHEMA`]; every other value is a string, an unsigned integer, or a
+//! boolean (floats, negatives, `null`, arrays, and objects are rejected);
+//! `op` is a string; and unknown or missing fields fail with a message that
+//! names them.
 //!
 //! Responses are objects too, `schema` first, then `"ok":true` plus
 //! op-specific fields, or `"ok":false` with an `"error"` string. Multi-line
 //! payloads (report trees) travel as escaped JSON strings.
 
-/// The protocol generation this build speaks.
-pub const SCHEMA: &str = "qei-served-v1";
+use qei_config::json::{self, Value};
 
 /// Escapes `s` as a JSON string literal, double quotes included.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+pub use qei_config::json::quote as json_str;
 
-/// A request field value: the three scalar shapes the protocol admits.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Scalar {
-    /// A JSON string.
-    Str(String),
-    /// An unsigned integer (the only number shape; floats are rejected).
-    U64(u64),
-    /// A boolean.
-    Bool(bool),
-}
-
-impl Scalar {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Scalar::Str(_) => "string",
-            Scalar::U64(_) => "integer",
-            Scalar::Bool(_) => "boolean",
-        }
-    }
-}
+/// The protocol generation this build speaks.
+pub const SCHEMA: &str = "qei-served-v1";
 
 /// A parsed request: the operation name plus its remaining fields, which
 /// the daemon consumes one by one and then checks for leftovers
@@ -68,8 +35,9 @@ impl Scalar {
 #[derive(Debug)]
 pub struct Request {
     op: String,
-    fields: Vec<(String, Scalar)>,
-    consumed: Vec<bool>,
+    /// The fields not consumed yet, each a string, unsigned integer, or
+    /// boolean.
+    fields: Vec<(String, Value)>,
 }
 
 impl Request {
@@ -78,14 +46,9 @@ impl Request {
         &self.op
     }
 
-    fn take(&mut self, key: &str) -> Option<Scalar> {
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if k == key && !self.consumed[i] {
-                self.consumed[i] = true;
-                return Some(v.clone());
-            }
-        }
-        None
+    fn take(&mut self, key: &str) -> Option<Value> {
+        let at = self.fields.iter().position(|(k, _)| k == key)?;
+        Some(self.fields.remove(at).1)
     }
 
     /// Consumes an optional string field.
@@ -96,7 +59,7 @@ impl Request {
     pub fn opt_str(&mut self, key: &str) -> Result<Option<String>, String> {
         match self.take(key) {
             None => Ok(None),
-            Some(Scalar::Str(s)) => Ok(Some(s)),
+            Some(Value::Str(s)) => Ok(Some(s)),
             Some(v) => Err(format!(
                 "field \"{key}\" must be a string, got {}",
                 v.type_name()
@@ -112,7 +75,7 @@ impl Request {
     pub fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, String> {
         match self.take(key) {
             None => Ok(None),
-            Some(Scalar::U64(n)) => Ok(Some(n)),
+            Some(Value::UInt(n)) => Ok(Some(n)),
             Some(v) => Err(format!(
                 "field \"{key}\" must be an unsigned integer, got {}",
                 v.type_name()
@@ -128,7 +91,7 @@ impl Request {
     pub fn opt_bool(&mut self, key: &str) -> Result<Option<bool>, String> {
         match self.take(key) {
             None => Ok(None),
-            Some(Scalar::Bool(b)) => Ok(Some(b)),
+            Some(Value::Bool(b)) => Ok(Some(b)),
             Some(v) => Err(format!(
                 "field \"{key}\" must be a boolean, got {}",
                 v.type_name()
@@ -162,148 +125,9 @@ impl Request {
     ///
     /// Naming the first leftover field.
     pub fn finish(&self) -> Result<(), String> {
-        for (i, (k, _)) in self.fields.iter().enumerate() {
-            if !self.consumed[i] {
-                return Err(format!("unknown field \"{k}\" for op \"{}\"", self.op));
-            }
-        }
-        Ok(())
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next_byte(&mut self) -> Result<u8, String> {
-        let b = self
-            .bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect_byte(&mut self, want: u8) -> Result<(), String> {
-        self.skip_ws();
-        let at = self.pos;
-        let got = self.next_byte()?;
-        if got != want {
-            return Err(format!(
-                "expected '{}', found '{}' at byte {at}",
-                want as char, got as char
-            ));
-        }
-        Ok(())
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect_byte(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next_byte()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next_byte()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b't' => out.push('\t'),
-                    b'r' => out.push('\r'),
-                    b'u' => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next_byte()?;
-                            let v = (d as char)
-                                .to_digit(16)
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            code = code * 16 + v;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| format!("bad \\u code point {code:#x}"))?,
-                        );
-                    }
-                    e => return Err(format!("unsupported escape '\\{}'", e as char)),
-                },
-                b => {
-                    // Re-assemble UTF-8 sequences byte-by-byte.
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let mut end = self.pos;
-                        while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                            end += 1;
-                        }
-                        let chunk = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                        out.push_str(chunk);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected digits at byte {start}"));
-        }
-        if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
-            return Err(format!(
-                "floating-point numbers are not part of the protocol (byte {start})"
-            ));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("integer out of range at byte {start}"))
-    }
-
-    fn keyword(&mut self, word: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn scalar(&mut self) -> Result<Scalar, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'"') => Ok(Scalar::Str(self.string()?)),
-            Some(b) if b.is_ascii_digit() => Ok(Scalar::U64(self.number()?)),
-            Some(b't') if self.keyword("true") => Ok(Scalar::Bool(true)),
-            Some(b'f') if self.keyword("false") => Ok(Scalar::Bool(false)),
-            Some(b) => Err(format!(
-                "unsupported value starting with '{}' at byte {} (strings, unsigned \
-                 integers, and booleans only)",
-                b as char, self.pos
-            )),
-            None => Err("unexpected end of input".to_string()),
+        match self.fields.first() {
+            Some((k, _)) => Err(format!("unknown field \"{k}\" for op \"{}\"", self.op)),
+            None => Ok(()),
         }
     }
 }
@@ -315,70 +139,44 @@ impl<'a> Parser<'a> {
 /// On any deviation from the strict format, with a message naming the
 /// offending schema, field, or byte offset.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let Value::Obj(mut fields) = json::parse(line)? else {
+        return Err("a request must be a JSON object".to_string());
     };
-    p.expect_byte(b'{')?;
-
     // Schema first, so version mismatches fail before anything else.
-    let first = p.string()?;
-    if first != "schema" {
-        return Err(format!(
-            "the first field must be \"schema\", found \"{first}\""
-        ));
-    }
-    p.expect_byte(b':')?;
-    let schema = p.string()?;
-    if schema != SCHEMA {
-        return Err(format!(
-            "unknown request schema \"{schema}\" (this daemon speaks \"{SCHEMA}\")"
-        ));
-    }
-
-    let mut op = None;
-    let mut fields: Vec<(String, Scalar)> = Vec::new();
-    loop {
-        p.skip_ws();
-        match p.next_byte()? {
-            b'}' => break,
-            b',' => {}
-            b => return Err(format!("expected ',' or '}}', found '{}'", b as char)),
-        }
-        let key = p.string()?;
-        p.expect_byte(b':')?;
-        let value = p.scalar()?;
-        if key == "schema" || key == "op" && op.is_some() || fields.iter().any(|(k, _)| *k == key) {
-            return Err(format!("duplicate field \"{key}\""));
-        }
-        if key == "op" {
-            match value {
-                Scalar::Str(s) => op = Some(s),
-                v => {
-                    return Err(format!(
-                        "field \"op\" must be a string, got {}",
-                        v.type_name()
-                    ))
-                }
+    match fields.first() {
+        Some((k, Value::Str(schema))) if k == "schema" => {
+            if schema != SCHEMA {
+                return Err(format!(
+                    "unknown request schema \"{schema}\" (this daemon speaks \"{SCHEMA}\")"
+                ));
             }
-        } else {
-            fields.push((key, value));
+        }
+        Some((k, v)) if k == "schema" => {
+            return Err(format!(
+                "field \"schema\" must be a string, got {}",
+                v.type_name()
+            ))
+        }
+        Some((k, _)) => return Err(format!("the first field must be \"schema\", found \"{k}\"")),
+        None => return Err("missing field \"schema\"".to_string()),
+    }
+    fields.remove(0);
+    for (k, v) in &fields {
+        if !matches!(v, Value::Str(_) | Value::UInt(_) | Value::Bool(_)) {
+            return Err(format!(
+                "field \"{k}\" is not a string, unsigned integer, or boolean (got {})",
+                v.type_name()
+            ));
         }
     }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!(
-            "trailing bytes after the request object (byte {})",
-            p.pos
-        ));
-    }
-    let op = op.ok_or_else(|| "missing field \"op\"".to_string())?;
-    let consumed = vec![false; fields.len()];
-    Ok(Request {
-        op,
+    let mut req = Request {
+        op: String::new(),
         fields,
-        consumed,
-    })
+    };
+    req.op = req
+        .opt_str("op")?
+        .ok_or_else(|| "missing field \"op\"".to_string())?;
+    Ok(req)
 }
 
 /// Builds a response line: `schema` first, then `ok`, then pushed fields,
@@ -391,9 +189,10 @@ pub struct Response {
 impl Response {
     /// Starts a response with the given `ok` flag.
     pub fn new(ok: bool) -> Response {
-        Response {
-            body: format!("{{\"schema\":{},\"ok\":{ok}", json_str(SCHEMA)),
-        }
+        let mut body = String::from("{\"schema\":");
+        json::write_string(&mut body, SCHEMA);
+        body.push_str(if ok { ",\"ok\":true" } else { ",\"ok\":false" });
+        Response { body }
     }
 
     /// An error response carrying `error`.
@@ -401,23 +200,33 @@ impl Response {
         Response::new(false).str("error", message).finish()
     }
 
-    /// Appends a string field (escaped).
-    pub fn str(mut self, key: &str, value: &str) -> Response {
-        self.body
-            .push_str(&format!(",{}:{}", json_str(key), json_str(value)));
+    /// Appends `,"key":` ahead of a value.
+    fn key(mut self, key: &str) -> Response {
+        self.body.push(',');
+        json::write_string(&mut self.body, key);
+        self.body.push(':');
         self
+    }
+
+    /// Appends a string field (escaped).
+    pub fn str(self, key: &str, value: &str) -> Response {
+        let mut r = self.key(key);
+        json::write_string(&mut r.body, value);
+        r
     }
 
     /// Appends an unsigned-integer field.
-    pub fn u64(mut self, key: &str, value: u64) -> Response {
-        self.body.push_str(&format!(",{}:{value}", json_str(key)));
-        self
+    pub fn u64(self, key: &str, value: u64) -> Response {
+        let mut r = self.key(key);
+        r.body.push_str(&value.to_string());
+        r
     }
 
     /// Appends a boolean field.
-    pub fn bool(mut self, key: &str, value: bool) -> Response {
-        self.body.push_str(&format!(",{}:{value}", json_str(key)));
-        self
+    pub fn bool(self, key: &str, value: bool) -> Response {
+        let mut r = self.key(key);
+        r.body.push_str(if value { "true" } else { "false" });
+        r
     }
 
     /// Closes the object.

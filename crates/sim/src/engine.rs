@@ -324,16 +324,6 @@ pub struct RunPlan {
 }
 
 impl RunPlan {
-    /// Starts a builder over `workload` — the declarative way the
-    /// experiment constructors assemble plans instead of hand-writing
-    /// struct literals. Defaults to the software baseline with no
-    /// overrides.
-    pub fn for_workload(workload: WorkloadSpec) -> RunPlanBuilder {
-        RunPlanBuilder {
-            plan: RunPlan::baseline(workload),
-        }
-    }
-
     /// A software-baseline plan.
     pub fn baseline(workload: WorkloadSpec) -> Self {
         RunPlan {
@@ -433,60 +423,6 @@ impl RunPlan {
             tag.push_str(&format!("+tlb{v}"));
         }
         tag
-    }
-}
-
-/// Builds a [`RunPlan`] fluently: [`RunPlan::for_workload`] starts from the
-/// software baseline, then [`mode`](RunPlanBuilder::mode),
-/// [`scheme`](RunPlanBuilder::scheme), and
-/// [`override_with`](RunPlanBuilder::override_with) refine it.
-#[derive(Debug, Clone, Copy)]
-pub struct RunPlanBuilder {
-    plan: RunPlan,
-}
-
-impl RunPlanBuilder {
-    /// Sets how the ROI executes.
-    pub fn mode(mut self, mode: RunMode) -> Self {
-        self.plan.mode = mode;
-        self
-    }
-
-    /// Sets the integration scheme (required for QEI modes; optional for
-    /// served runs, where it selects the accelerator backend).
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.plan.scheme = Some(scheme);
-        self
-    }
-
-    /// Replaces the plan's machine-configuration overrides.
-    pub fn override_with(mut self, overrides: ConfigOverrides) -> Self {
-        self.plan.overrides = overrides;
-        self
-    }
-
-    /// Finishes the plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a QEI mode was selected without a scheme — that plan could
-    /// never execute, so it fails at build time instead of run time.
-    pub fn build(self) -> RunPlan {
-        let needs_scheme = matches!(
-            self.plan.mode,
-            RunMode::QeiBlocking | RunMode::QeiNonblocking { .. } | RunMode::LocalCompareAblation
-        );
-        assert!(
-            !needs_scheme || self.plan.scheme.is_some(),
-            "QEI modes require a scheme"
-        );
-        self.plan
-    }
-}
-
-impl From<RunPlanBuilder> for RunPlan {
-    fn from(b: RunPlanBuilder) -> Self {
-        b.build()
     }
 }
 
@@ -1338,48 +1274,6 @@ mod tests {
         assert_eq!(nb.mode, RunMode::QeiNonblocking { batch: 16 });
         let lc = RunPlan::local_compare(spec, Scheme::CoreIntegrated);
         assert_eq!(lc.mode, RunMode::LocalCompareAblation);
-    }
-
-    #[test]
-    fn builder_matches_the_direct_constructors() {
-        let spec = jvm_spec();
-        assert_eq!(RunPlan::for_workload(spec).build(), RunPlan::baseline(spec));
-        assert_eq!(
-            RunPlan::for_workload(spec)
-                .mode(RunMode::QeiBlocking)
-                .scheme(Scheme::ChaTlb)
-                .build(),
-            RunPlan::qei(spec, Scheme::ChaTlb)
-        );
-        let overrides = ConfigOverrides {
-            qst_entries: Some(8),
-            ..ConfigOverrides::none()
-        };
-        assert_eq!(
-            RunPlan::for_workload(spec)
-                .mode(RunMode::QeiNonblocking { batch: 16 })
-                .scheme(Scheme::DeviceDirect)
-                .override_with(overrides)
-                .build(),
-            RunPlan::qei_nonblocking(spec, Scheme::DeviceDirect, 16).with_overrides(overrides)
-        );
-        let load = LoadSpec::default();
-        let plan: RunPlan = RunPlan::for_workload(spec)
-            .mode(RunMode::Served { load })
-            .scheme(Scheme::CoreIntegrated)
-            .build();
-        assert_eq!(
-            plan,
-            RunPlan::served(spec, Some(Scheme::CoreIntegrated), load)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "QEI modes require a scheme")]
-    fn builder_rejects_qei_mode_without_scheme() {
-        let _ = RunPlan::for_workload(jvm_spec())
-            .mode(RunMode::QeiBlocking)
-            .build();
     }
 
     fn small_load() -> LoadSpec {

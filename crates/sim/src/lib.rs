@@ -34,9 +34,7 @@ pub mod report;
 pub mod session;
 
 pub use bus::QeiBus;
-pub use engine::{
-    ConfigOverrides, Engine, RunMode, RunPlan, RunPlanBuilder, WorkloadKind, WorkloadSpec,
-};
+pub use engine::{ConfigOverrides, Engine, RunMode, RunPlan, WorkloadKind, WorkloadSpec};
 pub use report::{CoreLaneData, QeiRunData, RunReport, ServedRunData};
 pub use session::{cores_divide_llc, SimSession, SimSnapshot};
 

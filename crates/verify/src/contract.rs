@@ -1,10 +1,11 @@
-//! The committed `CONTRACTS.json` artifact: a deterministic, hand-rolled
-//! encoding of every installed CFA's [`CostContract`] (schema
-//! `qei-contract-v1`), plus a strict parser for the drift gate. Encoding is
-//! purely a function of the contract values — no timestamps, no float
-//! formatting, no map iteration order — so repeated `repro --contracts`
-//! runs are byte-identical at any thread count.
+//! The committed `CONTRACTS.json` artifact: a deterministic encoding of
+//! every installed CFA's [`CostContract`] (schema `qei-contract-v1`), plus
+//! a strict reader for the drift gate on top of [`qei_config::json`].
+//! Encoding is purely a function of the contract values — no timestamps, no
+//! float formatting, no map iteration order — so repeated
+//! `repro --contracts` runs are byte-identical at any thread count.
 
+use qei_config::json::{self, Value};
 use qei_config::CostContract;
 
 /// The artifact schema tag. Bump when the contract field set changes; the
@@ -18,48 +19,30 @@ pub struct ContractSet {
     pub contracts: Vec<CostContract>,
 }
 
-/// The numeric fields of a contract, in serialization order.
-const NUM_FIELDS: [&str; 17] = [
-    "dtype",
-    "subtype",
-    "widen_iters",
-    "widen_key_len",
-    "widen_aux0",
-    "states",
-    "read_ops",
-    "read_bytes",
-    "compare_ops",
-    "compare_bytes",
-    "hash_ops",
-    "alu_ops",
-    "mem_lines",
-    "cycles_l1",
-    "cycles_l2",
-    "cycles_llc",
-    "cycles_dram",
-];
+/// How many numeric fields a contract has.
+const NUM_FIELD_COUNT: usize = 17;
 
-fn num_field(c: &CostContract, name: &str) -> u64 {
-    match name {
-        "dtype" => c.dtype as u64,
-        "subtype" => c.subtype as u64,
-        "widen_iters" => c.widen_iters,
-        "widen_key_len" => c.widen_key_len as u64,
-        "widen_aux0" => c.widen_aux0,
-        "states" => c.states,
-        "read_ops" => c.read_ops,
-        "read_bytes" => c.read_bytes,
-        "compare_ops" => c.compare_ops,
-        "compare_bytes" => c.compare_bytes,
-        "hash_ops" => c.hash_ops,
-        "alu_ops" => c.alu_ops,
-        "mem_lines" => c.mem_lines,
-        "cycles_l1" => c.cycles_l1,
-        "cycles_l2" => c.cycles_l2,
-        "cycles_llc" => c.cycles_llc,
-        "cycles_dram" => c.cycles_dram,
-        _ => unreachable!("unknown contract field {name}"),
-    }
+/// The numeric fields of `c` in serialization order, widened to `u64`.
+pub(crate) fn num_fields(c: &CostContract) -> [(&'static str, u64); NUM_FIELD_COUNT] {
+    [
+        ("dtype", c.dtype.into()),
+        ("subtype", c.subtype.into()),
+        ("widen_iters", c.widen_iters),
+        ("widen_key_len", c.widen_key_len.into()),
+        ("widen_aux0", c.widen_aux0),
+        ("states", c.states),
+        ("read_ops", c.read_ops),
+        ("read_bytes", c.read_bytes),
+        ("compare_ops", c.compare_ops),
+        ("compare_bytes", c.compare_bytes),
+        ("hash_ops", c.hash_ops),
+        ("alu_ops", c.alu_ops),
+        ("mem_lines", c.mem_lines),
+        ("cycles_l1", c.cycles_l1),
+        ("cycles_l2", c.cycles_l2),
+        ("cycles_llc", c.cycles_llc),
+        ("cycles_dram", c.cycles_dram),
+    ]
 }
 
 fn set_num_field(c: &mut CostContract, name: &str, v: u64) -> Result<(), String> {
@@ -92,38 +75,24 @@ fn set_num_field(c: &mut CostContract, name: &str, v: u64) -> Result<(), String>
     Ok(())
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 impl ContractSet {
     /// Renders the deterministic artifact.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json_str(CONTRACT_SCHEMA)));
-        out.push_str("  \"contracts\": [");
+        let mut out = String::from("{\n  \"schema\": ");
+        json::write_string(&mut out, CONTRACT_SCHEMA);
+        out.push_str(",\n  \"contracts\": [");
         for (i, c) in self.contracts.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    {\n");
-            out.push_str(&format!("      \"cfa\": {},\n", json_str(&c.cfa)));
-            out.push_str(&format!("      \"model\": {},\n", json_str(&c.model)));
-            for (j, name) in NUM_FIELDS.iter().enumerate() {
-                let sep = if j + 1 == NUM_FIELDS.len() { "" } else { "," };
-                out.push_str(&format!("      \"{name}\": {}{sep}\n", num_field(c, name)));
+            out.push_str("\n    {\n      \"cfa\": ");
+            json::write_string(&mut out, &c.cfa);
+            out.push_str(",\n      \"model\": ");
+            json::write_string(&mut out, &c.model);
+            out.push_str(",\n");
+            for (j, (name, value)) in num_fields(c).into_iter().enumerate() {
+                let sep = if j + 1 == NUM_FIELD_COUNT { "" } else { "," };
+                out.push_str(&format!("      \"{name}\": {value}{sep}\n"));
             }
             out.push_str("    }");
         }
@@ -131,203 +100,73 @@ impl ContractSet {
         out
     }
 
-    /// Strict parse of a committed artifact. Rejects unknown schemas and
-    /// unknown fields with a clear error instead of skipping them.
+    /// Strict parse of a committed artifact: [`json::parse`], then exactly
+    /// `schema` (first, equal to [`CONTRACT_SCHEMA`]) and `contracts`, each
+    /// contract with exactly its field set. Unknown schemas and unknown,
+    /// duplicate, missing, or mistyped fields fail with a clear error
+    /// instead of being skipped.
     ///
     /// # Errors
     ///
     /// A human-readable description of the first structural problem.
     pub fn parse(text: &str) -> Result<ContractSet, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
+        let Value::Obj(top) = json::parse(text)? else {
+            return Err("the artifact is not a JSON object".to_string());
         };
-        p.skip_ws();
-        p.expect(b'{')?;
-        let schema_key = p.string()?;
-        if schema_key != "schema" {
-            return Err(format!("expected \"schema\" first, found \"{schema_key}\""));
+        match top.first() {
+            Some((k, Value::Str(schema))) if k == "schema" => {
+                if schema != CONTRACT_SCHEMA {
+                    return Err(format!(
+                        "unknown contract schema \"{schema}\" (this build reads \"{CONTRACT_SCHEMA}\"); \
+                         regenerate CONTRACTS.json with `repro --contracts`"
+                    ));
+                }
+            }
+            _ => return Err("expected a \"schema\" string as the first field".to_string()),
         }
-        p.expect(b':')?;
-        let schema = p.string()?;
-        if schema != CONTRACT_SCHEMA {
-            return Err(format!(
-                "unknown contract schema \"{schema}\" (this build reads \"{CONTRACT_SCHEMA}\"); \
-                 regenerate CONTRACTS.json with `repro --contracts`"
-            ));
-        }
-        p.expect(b',')?;
-        let key = p.string()?;
+        let [_, (key, Value::Arr(list))] = top.as_slice() else {
+            return Err("expected a \"contracts\" array as the only other field".to_string());
+        };
         if key != "contracts" {
             return Err(format!("expected \"contracts\", found \"{key}\""));
         }
-        p.expect(b':')?;
-        p.expect(b'[')?;
-        let mut contracts = Vec::new();
-        p.skip_ws();
-        if p.peek() == Some(b']') {
-            p.pos += 1;
-        } else {
-            loop {
-                contracts.push(p.contract()?);
-                p.skip_ws();
-                match p.next_byte()? {
-                    b',' => continue,
-                    b']' => break,
-                    other => return Err(format!("expected ',' or ']', found '{}'", other as char)),
-                }
-            }
-        }
-        p.expect(b'}')?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err("trailing bytes after the closing brace".to_string());
-        }
+        let contracts = list.iter().map(contract).collect::<Result<_, _>>()?;
         Ok(ContractSet { contracts })
     }
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next_byte(&mut self) -> Result<u8, String> {
-        let b = self
-            .bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        self.skip_ws();
-        let got = self.next_byte()?;
-        if got != want {
-            return Err(format!(
-                "expected '{}', found '{}' at byte {}",
-                want as char,
-                got as char,
-                self.pos - 1
-            ));
-        }
-        Ok(())
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next_byte()? {
-                b'"' => return Ok(out),
-                b'\\' => match self.next_byte()? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'u' => {
-                        let mut v = 0u32;
-                        for _ in 0..4 {
-                            let d = self.next_byte()? as char;
-                            v = v * 16
-                                + d.to_digit(16)
-                                    .ok_or_else(|| format!("bad \\u escape digit '{d}'"))?;
-                        }
-                        out.push(char::from_u32(v).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("unsupported escape '\\{}'", other as char)),
-                },
-                b => out.push(b as char),
+fn contract(value: &Value) -> Result<CostContract, String> {
+    let Value::Obj(members) = value else {
+        return Err(format!(
+            "a contract must be an object, got {}",
+            value.type_name()
+        ));
+    };
+    let mut c = CostContract::default();
+    for (key, v) in members {
+        match (key.as_str(), v) {
+            ("cfa", Value::Str(s)) => c.cfa = s.clone(),
+            ("model", Value::Str(s)) => c.model = s.clone(),
+            (name, Value::UInt(n)) if !matches!(name, "cfa" | "model") => {
+                set_num_field(&mut c, name, *n)?;
+            }
+            (name, v) => {
+                return Err(format!(
+                    "contract field \"{name}\" has the wrong type ({})",
+                    v.type_name()
+                ))
             }
         }
     }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "number out of range".to_string())
+    let expected = 2 + NUM_FIELD_COUNT;
+    if members.len() != expected {
+        return Err(format!(
+            "contract for \"{}\" has {} fields, expected {expected}",
+            c.cfa,
+            members.len()
+        ));
     }
-
-    fn contract(&mut self) -> Result<CostContract, String> {
-        self.expect(b'{')?;
-        let mut c = CostContract {
-            cfa: String::new(),
-            model: String::new(),
-            dtype: 0,
-            subtype: 0,
-            widen_iters: 0,
-            widen_key_len: 0,
-            widen_aux0: 0,
-            states: 0,
-            read_ops: 0,
-            read_bytes: 0,
-            compare_ops: 0,
-            compare_bytes: 0,
-            hash_ops: 0,
-            alu_ops: 0,
-            mem_lines: 0,
-            cycles_l1: 0,
-            cycles_l2: 0,
-            cycles_llc: 0,
-            cycles_dram: 0,
-        };
-        let mut seen: Vec<String> = Vec::new();
-        loop {
-            let key = self.string()?;
-            if seen.contains(&key) {
-                return Err(format!("duplicate contract field \"{key}\""));
-            }
-            self.expect(b':')?;
-            match key.as_str() {
-                "cfa" => c.cfa = self.string()?,
-                "model" => c.model = self.string()?,
-                other => {
-                    let v = self.number()?;
-                    set_num_field(&mut c, other, v)?;
-                }
-            }
-            seen.push(key);
-            self.skip_ws();
-            match self.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                other => return Err(format!("expected ',' or '}}', found '{}'", other as char)),
-            }
-        }
-        let expected = 2 + NUM_FIELDS.len();
-        if seen.len() != expected {
-            return Err(format!(
-                "contract for \"{}\" has {} fields, expected {expected}",
-                c.cfa,
-                seen.len()
-            ));
-        }
-        Ok(c)
-    }
+    Ok(c)
 }
 
 #[cfg(test)]

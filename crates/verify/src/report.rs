@@ -1,38 +1,38 @@
 //! Deterministic JSON rendering of a [`VerifyReport`].
 //!
-//! Hand-rolled like `qei-bench`'s report writer: fixed key order, sorted
-//! program order, no floating point — two runs over the same firmware store
-//! produce byte-identical output, so the CI artifact diffs cleanly.
+//! Streamed by hand like `qei-bench`'s report writer, with strings escaped
+//! by [`qei_config::json`]: fixed key order, sorted program order, no
+//! floating point — two runs over the same firmware store produce
+//! byte-identical output, so the CI artifact diffs cleanly.
 
+use crate::contract::num_fields;
 use crate::{ProgramReport, VerifyReport};
+use qei_config::json::{self, quote, Value};
 
 /// The report schema tag. v2 added the per-program `cost` contract section;
 /// [`check_schema`] rejects anything it does not recognize.
 pub const VERIFY_SCHEMA: &str = "qei-verify-v2";
 
-/// Checks that `text` is a verify report this build can read: the document
-/// must open with a `"schema"` field carrying exactly [`VERIFY_SCHEMA`].
+/// Checks that `text` is a verify report this build can read: the whole
+/// document must parse ([`json::parse`]) to an object whose top-level
+/// `"schema"` field is exactly [`VERIFY_SCHEMA`].
 ///
 /// # Errors
 ///
-/// A human-readable description of the mismatch (unknown or missing schema).
+/// A human-readable description of the mismatch (malformed document,
+/// unknown or missing schema).
 pub fn check_schema(text: &str) -> Result<(), String> {
-    let needle = "\"schema\": \"";
-    let Some(at) = text.find(needle) else {
-        return Err("report has no \"schema\" field; not a verify report".to_string());
-    };
-    let rest = &text[at + needle.len()..];
-    let Some(end) = rest.find('"') else {
-        return Err("unterminated \"schema\" value".to_string());
-    };
-    let schema = &rest[..end];
-    if schema != VERIFY_SCHEMA {
-        return Err(format!(
+    let doc = json::parse(text).map_err(|e| format!("not a verify report: {e}"))?;
+    match doc.get("schema") {
+        Some(Value::Str(schema)) if schema == VERIFY_SCHEMA => Ok(()),
+        Some(Value::Str(schema)) => Err(format!(
             "unknown verify-report schema \"{schema}\" (this build reads \"{VERIFY_SCHEMA}\"); \
              regenerate the report with `repro --verify`"
-        ));
+        )),
+        _ => {
+            Err("report has no \"schema\" field holding a string; not a verify report".to_string())
+        }
     }
-    Ok(())
 }
 
 /// Renders the whole report as a JSON document.
@@ -59,8 +59,8 @@ pub fn render(report: &VerifyReport) -> String {
 
 fn render_program(out: &mut String, p: &ProgramReport) {
     out.push_str("    {\n");
-    out.push_str(&format!("      \"cfa\": {},\n", json_str(p.cfa)));
-    out.push_str(&format!("      \"model\": {},\n", json_str(p.model)));
+    out.push_str(&format!("      \"cfa\": {},\n", quote(p.cfa)));
+    out.push_str(&format!("      \"model\": {},\n", quote(p.model)));
     out.push_str(&format!("      \"dtype\": {},\n", p.dtype));
     out.push_str(&format!("      \"subtype\": {},\n", p.subtype));
     out.push_str(&format!("      \"ok\": {},\n", p.ok()));
@@ -77,21 +77,12 @@ fn render_program(out: &mut String, p: &ProgramReport) {
     out.push_str(&format!("      \"transitions\": {},\n", p.transitions));
     out.push_str(&format!("      \"terminals\": {},\n", p.terminals));
     out.push_str("      \"cost\": {");
-    out.push_str(&format!("\"widen_iters\": {}, ", p.cost.widen_iters));
-    out.push_str(&format!("\"widen_key_len\": {}, ", p.cost.widen_key_len));
-    out.push_str(&format!("\"widen_aux0\": {}, ", p.cost.widen_aux0));
-    out.push_str(&format!("\"states\": {}, ", p.cost.states));
-    out.push_str(&format!("\"read_ops\": {}, ", p.cost.read_ops));
-    out.push_str(&format!("\"read_bytes\": {}, ", p.cost.read_bytes));
-    out.push_str(&format!("\"compare_ops\": {}, ", p.cost.compare_ops));
-    out.push_str(&format!("\"compare_bytes\": {}, ", p.cost.compare_bytes));
-    out.push_str(&format!("\"hash_ops\": {}, ", p.cost.hash_ops));
-    out.push_str(&format!("\"alu_ops\": {}, ", p.cost.alu_ops));
-    out.push_str(&format!("\"mem_lines\": {}, ", p.cost.mem_lines));
-    out.push_str(&format!("\"cycles_l1\": {}, ", p.cost.cycles_l1));
-    out.push_str(&format!("\"cycles_l2\": {}, ", p.cost.cycles_l2));
-    out.push_str(&format!("\"cycles_llc\": {}, ", p.cost.cycles_llc));
-    out.push_str(&format!("\"cycles_dram\": {}}},\n", p.cost.cycles_dram));
+    // `dtype` and `subtype` are rendered above, from the program itself.
+    for (i, (name, value)) in num_fields(&p.cost).into_iter().skip(2).enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
+        out.push_str(&format!("{sep}\"{name}\": {value}"));
+    }
+    out.push_str("},\n");
     out.push_str("      \"diagnostics\": [");
     if p.diagnostics.is_empty() {
         out.push_str("]\n");
@@ -99,12 +90,12 @@ fn render_program(out: &mut String, p: &ProgramReport) {
         out.push('\n');
         for (i, d) in p.diagnostics.iter().enumerate() {
             out.push_str("        {");
-            out.push_str(&format!("\"check\": {}, ", json_str(d.check.id())));
+            out.push_str(&format!("\"check\": {}, ", quote(d.check.id())));
             match d.state {
                 Some(s) => out.push_str(&format!("\"state\": {s}, ")),
                 None => out.push_str("\"state\": null, "),
             }
-            out.push_str(&format!("\"detail\": {}}}", json_str(&d.detail)));
+            out.push_str(&format!("\"detail\": {}}}", quote(&d.detail)));
             if i + 1 < p.diagnostics.len() {
                 out.push(',');
             }
@@ -115,28 +106,9 @@ fn render_program(out: &mut String, p: &ProgramReport) {
     out.push_str("    }");
 }
 
-/// Escapes a string as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{check_schema, json_str, VERIFY_SCHEMA};
+    use super::{check_schema, VERIFY_SCHEMA};
 
     #[test]
     fn schema_check_accepts_current_and_rejects_others() {
@@ -151,13 +123,5 @@ mod tests {
         let none = "{\n  \"ok\": true\n}\n";
         let err = check_schema(none).expect_err("missing schema must be rejected");
         assert!(err.contains("no \"schema\" field"), "{err}");
-    }
-
-    #[test]
-    fn escapes_json_strings() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c"), "\"a\\\"b\\\\c\"");
-        assert_eq!(json_str("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
     }
 }

@@ -53,6 +53,33 @@ fn report_json_is_deterministic() {
     qei_verify::check_schema(&a).expect("the renderer's own output must pass the schema check");
 }
 
+#[test]
+fn schema_check_reads_the_whole_document() {
+    let report = verify_all().to_json();
+    // A schema-looking substring is not a report.
+    let err = qei_verify::check_schema("garbage \"schema\": \"qei-verify-v2\"")
+        .expect_err("garbage must be rejected");
+    assert!(err.contains("not a verify report"), "{err}");
+    // Nor is a real report cut anywhere after its schema line.
+    let schema_line = format!("\"schema\": \"{}\",\n", qei_verify::VERIFY_SCHEMA);
+    let after_schema = report.find(&schema_line).unwrap() + schema_line.len();
+    let end = report.trim_end().len();
+    for cut in after_schema..end {
+        assert!(
+            qei_verify::check_schema(&report[..cut]).is_err(),
+            "report truncated at byte {cut} passed"
+        );
+    }
+    qei_verify::check_schema(&report[..end]).expect("the full report passes");
+    // The schema must be the top-level field, not a nested one.
+    let nested = report.replacen("\"schema\"", "\"schema_of\"", 1).replacen(
+        "\"ok\": true,",
+        "\"ok\": true, \"inner\": {\"schema\": \"qei-verify-v2\"},",
+        1,
+    );
+    assert!(qei_verify::check_schema(&nested).is_err());
+}
+
 // ---------------------------------------------------------------------------
 // Broken firmware: each defect draws its own diagnostic
 // ---------------------------------------------------------------------------

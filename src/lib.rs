@@ -77,8 +77,8 @@ pub mod prelude {
     pub use qei_mem::{GuestMem, VirtAddr};
     pub use qei_serve::ServeStats;
     pub use qei_sim::{
-        ConfigOverrides, Engine, RunMode, RunPlan, RunPlanBuilder, RunReport, SimSession,
-        SimSnapshot, System, WorkloadKind, WorkloadSpec,
+        ConfigOverrides, Engine, RunMode, RunPlan, RunReport, SimSession, SimSnapshot, System,
+        WorkloadKind, WorkloadSpec,
     };
     pub use qei_workloads::{QueryJob, StructureMutator, Workload};
 }

@@ -25,6 +25,9 @@
 //!   `called Option::unwrap() on a None value`.
 //! * **float-stats** — `f64` state fields in simulation crates.
 //!   Accumulate in integers; divide once at the edge of the report.
+//! * **json-codec** — a JSON parser (`struct Parser`, `fn skip_ws`) or a
+//!   `\\u{:04x}` string escaper outside `crates/config/src/json.rs`. Copies
+//!   drift: each one ends up with its own idea of valid JSON.
 //!
 //! Findings print as `path:line: [rule] message` and the process exits
 //! nonzero. `xtask/lint.allow` grants file-level exemptions — each entry

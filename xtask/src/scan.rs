@@ -128,8 +128,9 @@ fn scrub(text: &str) -> String {
             i += 1;
             while i < n {
                 if b[i] == '\\' && i + 1 < n {
+                    // A `\` line continuation keeps its newline.
                     out.push(' ');
-                    out.push(' ');
+                    out.push(blank(b[i + 1]));
                     i += 2;
                     continue;
                 }
@@ -332,6 +333,11 @@ pub const RULES: &[Rule] = &[
         applies: |_| true,
         check: stats_key_registrations,
     },
+    Rule {
+        name: "json-codec",
+        applies: |p| p.starts_with("crates/") && p != "crates/config/src/json.rs",
+        check: json_codec_copies,
+    },
 ];
 
 fn find_tokens(f: &ScrubbedFile, tokens: &[&str], why: &str) -> Vec<(usize, String)> {
@@ -344,6 +350,22 @@ fn find_tokens(f: &ScrubbedFile, tokens: &[&str], why: &str) -> Vec<(usize, Stri
             }
         }
     }
+    out
+}
+
+/// Flags a second JSON codec outside `qei_config::json`: a parser
+/// (`struct Parser`, `fn skip_ws`) or a hand-rolled `\u` string escaper
+/// (`\\u{:04x}`, matched on the raw line since the scrubber blanks string
+/// literals).
+fn json_codec_copies(f: &ScrubbedFile) -> Vec<(usize, String)> {
+    let why = "JSON is parsed and escaped by qei_config::json alone; use its parse/write_string";
+    let mut out = find_tokens(f, &["struct Parser", "fn skip_ws"], why);
+    for (i, (raw, in_test)) in f.raw.iter().zip(&f.in_test).enumerate() {
+        if !in_test && raw.contains(r"\\u{:04x}") {
+            out.push((i + 1, format!("`\\\\u{{:04x}}` escaper: {why}")));
+        }
+    }
+    out.sort();
     out
 }
 
@@ -530,6 +552,14 @@ mod tests {
     }
 
     #[test]
+    fn scrub_keeps_line_continuations_in_strings_aligned() {
+        let src = "let s = \"a \\\n    b\";\nlet t = 1;\n";
+        let f = ScrubbedFile::new(src);
+        assert_eq!(f.lines.len(), f.raw.len());
+        assert_eq!(f.lines[2].trim(), "let t = 1;");
+    }
+
+    #[test]
     fn cfg_test_blocks_are_exempt() {
         let src = "fn a() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn b() { y.unwrap(); }\n}\nfn c() { z.unwrap(); }\n";
         let f = ScrubbedFile::new(src);
@@ -599,6 +629,33 @@ mod tests {
         // Non-registration .set calls (Cell::set) are ignored.
         let cell = ScrubbedFile::new("fn c() { last.set(5); pair.set(a, b); }\n");
         assert!(stats_key_registrations(&cell).is_empty());
+    }
+
+    #[test]
+    fn json_codec_rule_flags_second_parsers_and_escapers() {
+        let rule = RULES
+            .iter()
+            .find(|r| r.name == "json-codec")
+            .unwrap_or_else(|| panic!("json-codec rule exists"));
+        assert!((rule.applies)("crates/bench/src/report.rs"));
+        assert!((rule.applies)("crates/trace/src/lib.rs"));
+        assert!(!(rule.applies)("crates/config/src/json.rs"));
+        assert!(!(rule.applies)("xtask/src/scan.rs"));
+        let src = "struct Parser<'a> { pos: usize }\n\
+                   fn skip_ws(&mut self) {}\n\
+                   fn esc(c: u32) -> String { format!(\"\\\\u{:04x}\", c) }\n\
+                   fn ok() { let s = \"struct Parser\"; }\n\
+                   #[cfg(test)]\n\
+                   mod tests { struct Parser; fn t() { format!(\"\\\\u{:04x}\", 1); } }\n";
+        let hits: Vec<usize> = (rule.check)(&ScrubbedFile::new(src))
+            .iter()
+            .map(|(l, _)| *l)
+            .collect();
+        assert_eq!(
+            hits,
+            vec![1, 2, 3],
+            "test code and string literals are exempt"
+        );
     }
 
     #[test]
