@@ -1,12 +1,12 @@
-//! Micro-benches of the serving layer: the admission-queue hot path and
-//! the full open-loop event loop over a calibrated backend. Results land
-//! in `BENCH_serve.json`; run with `-- --check <baseline>` to gate on
-//! regressions.
+//! Micro-benches of the serving layer: the admission-queue hot path, the
+//! full open-loop event loop over a calibrated backend, and arrival
+//! generation. Results land in `BENCH_serve.json`; run with
+//! `-- --check <baseline>` to gate on regressions.
 
 use qei_bench::BenchSuite;
 use qei_config::{AdmissionPolicy, Cycles, LoadSpec};
 use qei_core::FaultCode;
-use qei_serve::{run_load, AdmissionQueue, QueryBackend};
+use qei_serve::{arrivals, run_load, AdmissionQueue, QueryBackend};
 use qei_trace::EventBuf;
 use std::hint::black_box;
 
@@ -77,9 +77,25 @@ fn bench_run_load(suite: &mut BenchSuite) {
     });
 }
 
+fn bench_arrivals(suite: &mut BenchSuite) {
+    // One whole arrival stream of a light load: 16 tenants × 64 arrivals at
+    // a mean gap of 4000 cycles, about 4 M geometric-trial draws. A served
+    // plan on a chip of any size draws this much once, split across lanes.
+    let load = LoadSpec {
+        tenants: 16,
+        mean_interarrival: 4_000,
+        arrivals_per_tenant: 64,
+        ..LoadSpec::default()
+    };
+    suite.bench("arrivals/light_16x64", || {
+        black_box(arrivals(&load, 1_024).len())
+    });
+}
+
 fn main() {
     let mut suite = BenchSuite::from_args("serve");
     bench_admission_queue(&mut suite);
     bench_run_load(&mut suite);
+    bench_arrivals(&mut suite);
     suite.finish();
 }

@@ -48,7 +48,12 @@ impl SimRng {
         }
     }
 
+    // `next_u64` and `below` are `#[inline]` so other crates can inline
+    // them without LTO: the arrival process calls `below` once per
+    // simulated gap cycle, and a call per draw costs more than the draw.
+
     /// Next 64 uniformly distributed bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -66,6 +71,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `n` is zero.
+    #[inline]
     pub fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
         // Multiply-shift rejection (Lemire): unbiased without division in

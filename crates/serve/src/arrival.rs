@@ -7,7 +7,12 @@
 //! Poisson-approximate without a single floating-point operation. Arrival
 //! times are therefore a pure function of `(LoadSpec, n_jobs)` — the same
 //! stream regardless of thread count, process, or host.
+//!
+//! Because tenant substreams are independent, a chip lane draws only the
+//! tenants [`lane_of_tenant`] assigns to it ([`lane_arrivals`]): exactly its
+//! subset of [`arrivals`], draw for draw, paying for no other lane's draws.
 
+use crate::shard::lane_of_tenant;
 use qei_config::{LoadSpec, SimRng};
 
 /// One generated arrival: a tenant's `seq`-th query, requesting workload
@@ -45,12 +50,40 @@ fn geometric(rng: &mut SimRng, mean: u64) -> u64 {
 ///
 /// Panics if the spec fails [`LoadSpec::validate`] or `n_jobs` is zero.
 pub fn arrivals(load: &LoadSpec, n_jobs: u32) -> Vec<Arrival> {
+    draw(load, n_jobs, 0..load.tenants)
+}
+
+/// Generates the arrivals of the tenants core lane `lane` serves, drawing
+/// no other tenant's stream: the subsequence of [`arrivals`] whose tenant
+/// [`lane_of_tenant`] maps to `lane`, in the same order. At `cores == 1`
+/// lane 0 draws every tenant and this equals [`arrivals`].
+///
+/// # Panics
+///
+/// Panics if the spec fails [`LoadSpec::validate`], `n_jobs` is zero, or
+/// `lane` is not below `load.cores`.
+pub fn lane_arrivals(load: &LoadSpec, n_jobs: u32, lane: u32) -> Vec<Arrival> {
+    assert!(
+        lane < load.cores,
+        "lane {lane} out of range for {} cores",
+        load.cores
+    );
+    draw(
+        load,
+        n_jobs,
+        (0..load.tenants).filter(|&t| lane_of_tenant(t, load.cores) == lane),
+    )
+}
+
+/// Draws the whole stream of each of `tenants`, tenant-major.
+fn draw(load: &LoadSpec, n_jobs: u32, tenants: impl Iterator<Item = u32> + Clone) -> Vec<Arrival> {
     if let Err(why) = load.validate() {
         panic!("invalid load spec: {why}");
     }
     assert!(n_jobs > 0, "load generation needs a nonempty job list");
-    let mut out = Vec::with_capacity(load.total_arrivals() as usize);
-    for tenant in 0..load.tenants {
+    let per_tenant = load.arrivals_per_tenant as usize;
+    let mut out = Vec::with_capacity(tenants.clone().count() * per_tenant);
+    for tenant in tenants {
         // A distinct, well-separated substream per tenant (odd multiplier
         // of the golden-ratio constant, as in splitmix).
         let stream = load
@@ -80,10 +113,86 @@ pub fn arrivals(load: &LoadSpec, n_jobs: u32) -> Vec<Arrival> {
 mod tests {
     use super::*;
 
+    /// FNV-1a over every field of every arrival, in stream order.
+    fn digest(stream: &[Arrival]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for a in stream {
+            let fields = [
+                a.at,
+                u64::from(a.tenant),
+                u64::from(a.seq),
+                u64::from(a.job),
+                u64::from(a.write),
+            ];
+            for b in fields.iter().flat_map(|f| f.to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
     #[test]
     fn arrival_stream_is_deterministic() {
         let load = LoadSpec::default();
         assert_eq!(arrivals(&load, 40), arrivals(&load, 40));
+    }
+
+    #[test]
+    fn arrival_streams_are_pinned_across_commits() {
+        // Every served report is a function of these streams; recorded
+        // before lanes began drawing their own tenants.
+        let load = LoadSpec::default();
+        let read_only = digest(&arrivals(&load, 40));
+        let mixed = digest(&arrivals(&load.with_write_pct(30), 40));
+        assert_eq!(
+            [read_only, mixed],
+            [0x333a_0a59_1718_44f2, 0xde20_6ea2_9efb_7751],
+            "{read_only:#018x} {mixed:#018x}"
+        );
+    }
+
+    #[test]
+    fn lane_arrivals_partition_the_full_stream() {
+        let key = |a: &Arrival| (a.tenant, a.seq);
+        for write_pct in [0u32, 30] {
+            for cores in [1u32, 2, 3, 4, 8] {
+                let load = LoadSpec {
+                    tenants: 16,
+                    arrivals_per_tenant: 20,
+                    cores,
+                    ..LoadSpec::default()
+                }
+                .with_write_pct(write_pct);
+                let all = arrivals(&load, 40);
+                let mut union = Vec::new();
+                for lane in 0..cores {
+                    let mine = lane_arrivals(&load, 40, lane);
+                    assert!(
+                        mine.iter().all(|a| lane_of_tenant(a.tenant, cores) == lane),
+                        "cores={cores}: lane {lane} holds another lane's tenant"
+                    );
+                    union.extend(mine);
+                }
+                union.sort_by_key(key);
+                assert!(
+                    union.windows(2).all(|w| key(&w[0]) != key(&w[1])),
+                    "cores={cores} write_pct={write_pct}: lanes overlap"
+                );
+                let mut sorted = all.clone();
+                sorted.sort_by_key(key);
+                assert_eq!(union, sorted, "cores={cores} write_pct={write_pct}");
+                if cores == 1 {
+                    assert_eq!(lane_arrivals(&load, 40, 0), all);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn lane_past_the_core_count_panics() {
+        let load = LoadSpec::default().with_cores(2);
+        lane_arrivals(&load, 4, 2);
     }
 
     #[test]

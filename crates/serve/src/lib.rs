@@ -8,7 +8,7 @@
 //!
 //! * [`arrival`] — a deterministic, SimRng-driven open-loop arrival process
 //!   (Poisson-approximate via integer geometric inter-arrival draws), one
-//!   independent stream per tenant;
+//!   independent stream per tenant, drawn whole or per core lane;
 //! * [`queue`] — a bounded admission queue in front of the accelerator's
 //!   QST with a configurable full-queue policy (reject / stall / tail-drop),
 //!   plus the event loop driving a [`queue::QueryBackend`] and the
@@ -28,7 +28,7 @@ pub mod queue;
 pub mod shard;
 pub mod stats;
 
-pub use arrival::{arrivals, Arrival};
+pub use arrival::{arrivals, lane_arrivals, Arrival};
 pub use queue::{run_load, run_load_lane, AdmissionQueue, QueryBackend};
 pub use shard::lane_of_tenant;
 pub use stats::{ServeStats, TenantStats};

@@ -12,8 +12,7 @@
 //! execution (and therefore every report byte) is a pure function of the
 //! [`LoadSpec`] and the backend.
 
-use crate::arrival::arrivals;
-use crate::shard::lane_of_tenant;
+use crate::arrival::{arrivals, Arrival};
 use crate::stats::ServeStats;
 use qei_config::{AdmissionPolicy, Cycles, LoadSpec};
 use qei_core::FaultCode;
@@ -142,9 +141,10 @@ fn backoff_after(base: u64, attempt: u32) -> u64 {
         .unwrap_or(u64::MAX)
 }
 
-/// Runs the full load pattern against `backend`, emitting admission events
-/// into `trace` and returning the per-tenant statistics. `n_jobs` sizes the
-/// workload job list the arrival process draws from.
+/// Runs the full load pattern — every tenant, on one admission queue —
+/// against `backend`, emitting admission events into `trace` and returning
+/// the per-tenant statistics. `n_jobs` sizes the workload job list the
+/// arrival process draws from.
 ///
 /// Latency is measured client-side: from the *first* arrival of a query
 /// (before any backoff) to the cycle the client observes the result — the
@@ -156,28 +156,25 @@ pub fn run_load<B: QueryBackend>(
     backend: &mut B,
     trace: &mut EventBuf,
 ) -> ServeStats {
-    run_load_lane(load, n_jobs, 0, backend, trace)
+    run_load_lane(load, &arrivals(load, n_jobs), backend, trace)
 }
 
-/// Runs one core lane's share of the load pattern: the full arrival stream
-/// is generated, then filtered down to the tenants
-/// [`lane_of_tenant`] assigns to `lane` — so sharding re-routes queries
-/// across lanes without perturbing any arrival's cycle, job, or seed. Each
-/// lane owns a full-depth admission queue in front of its own accelerator.
-/// The returned [`ServeStats`] is sized for *all* tenants with only this
-/// lane's tenants populated, which makes the chip's per-lane merge a
-/// disjoint sum. On a single-core load (`cores == 1`) lane 0 serves every
-/// tenant and this is exactly [`run_load`].
+/// Serves one core lane's share of the load pattern: `arrivals`, the
+/// lane's prepared stream (usually [`lane_arrivals`](crate::lane_arrivals),
+/// drawn once and replayed by every pass over the lane), on a full-depth
+/// admission queue in front of the lane's own backend. Sharding re-routes
+/// queries across lanes without perturbing any arrival's cycle, job, or
+/// seed. The returned [`ServeStats`] is sized for *all* tenants with only
+/// the served tenants populated, which makes the chip's per-lane merge a
+/// disjoint sum. Given the whole stream this is exactly [`run_load`].
 pub fn run_load_lane<B: QueryBackend>(
     load: &LoadSpec,
-    n_jobs: u32,
-    lane: u32,
+    arrivals: &[Arrival],
     backend: &mut B,
     trace: &mut EventBuf,
 ) -> ServeStats {
-    let mut heap: BinaryHeap<Reverse<Attempt>> = arrivals(load, n_jobs)
-        .into_iter()
-        .filter(|a| lane_of_tenant(a.tenant, load.cores) == lane)
+    let mut heap: BinaryHeap<Reverse<Attempt>> = arrivals
+        .iter()
         .map(|a| {
             Reverse(Attempt {
                 at: a.at,

@@ -3,9 +3,10 @@
 //! Tenants are hash-sharded across core lanes with a multiplicative
 //! (splitmix-style) hash rather than a plain modulo, so adjacent tenant ids
 //! spread across lanes instead of striping. The mapping is a pure function
-//! of `(tenant, lanes)` — every lane filters the *same* generated arrival
-//! stream down to its own tenants, so sharding changes which lane serves a
-//! query but never the query's arrival cycle, job, or seed.
+//! of `(tenant, lanes)`, and each lane draws only its own tenants' streams
+//! ([`crate::lane_arrivals`]); since every tenant's substream is seeded
+//! independently, sharding changes which lane serves a query but never the
+//! query's arrival cycle, job, or seed.
 
 /// The core lane serving `tenant` on a chip of `lanes` lanes.
 ///

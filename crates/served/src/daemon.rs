@@ -7,10 +7,11 @@
 //!
 //! Robustness rules: every request is validated *before* any simulator
 //! state is touched — build sizes are clamped, load specs and overridden
-//! machine configurations run their validators, lane counts are checked
-//! against the LLC geometry — so malformed or oversized requests yield an
-//! `"ok":false` line and leave every session exactly as it was. The
-//! handler contains no panicking extractors.
+//! machine configurations run their validators, served loads are capped in
+//! tenants, queue depth, lanes, arrivals and arrival draws, lane counts are
+//! checked against the LLC geometry — so malformed or oversized requests
+//! yield an `"ok":false` line and leave every session exactly as it was.
+//! The handler contains no panicking extractors.
 
 use crate::protocol::{parse_request, Request, Response};
 use qei_config::{AdmissionPolicy, LoadSpec, MachineConfig, Scheme};
@@ -26,6 +27,27 @@ use std::path::Path;
 /// experiment in the tree, small enough that an interactive daemon stays
 /// interactive.
 const MAX_BUILD_PARAM: u64 = 1_000_000;
+
+/// Ceiling on a served run's tenants: each one gets its own statistics and
+/// arrival substream.
+const MAX_TENANTS: u32 = 4_096;
+
+/// Ceiling on a served run's admission queue depth, which each lane
+/// reserves up front.
+const MAX_QUEUE_DEPTH: u32 = 65_536;
+
+/// Ceiling on a served run's total arrivals (tenants × arrivals per
+/// tenant), each of which is held in memory for the whole run.
+const MAX_ARRIVALS: u64 = 1 << 22;
+
+/// Ceiling on a served run's arrival-generation work: one random draw per
+/// simulated gap cycle, about tenants × arrivals × interarrival in all.
+/// The largest load in the tree, the 8-core sweep, makes about 16 M.
+const MAX_ARRIVAL_DRAWS: u64 = 1 << 32;
+
+/// Ceiling on a served run's core lanes, each a full per-core stack with
+/// its own copy of the guest image.
+const MAX_CORES: u32 = 64;
 
 /// One named session: the warm [`SimSession`] plus its named snapshots and
 /// the last run's report tree.
@@ -163,6 +185,40 @@ fn parse_policy(s: &str) -> Result<AdmissionPolicy, String> {
 
 fn u64_to_u32(key: &str, v: u64) -> Result<u32, String> {
     u32::try_from(v).map_err(|_| format!("field \"{key}\"={v} exceeds 32 bits"))
+}
+
+/// Refuses a served load too large for an interactive daemon: one that
+/// would abort it on allocation or hold the single connection for minutes.
+fn check_load_size(load: &LoadSpec) -> Result<(), String> {
+    let over = |key: &str, v: u32, limit: u32| {
+        format!("field \"{key}\"={v} exceeds the daemon limit of {limit}")
+    };
+    if load.tenants > MAX_TENANTS {
+        return Err(over("tenants", load.tenants, MAX_TENANTS));
+    }
+    if load.queue_depth > MAX_QUEUE_DEPTH {
+        return Err(over("queue_depth", load.queue_depth, MAX_QUEUE_DEPTH));
+    }
+    if load.cores > MAX_CORES {
+        return Err(over("cores", load.cores, MAX_CORES));
+    }
+    let total = load.total_arrivals();
+    if total > MAX_ARRIVALS {
+        return Err(format!(
+            "field \"arrivals\"={} gives tenants × arrivals = {total}, over the daemon \
+             limit of {MAX_ARRIVALS} arrivals per run",
+            load.arrivals_per_tenant
+        ));
+    }
+    let draws = u128::from(total) * u128::from(load.mean_interarrival);
+    if draws > u128::from(MAX_ARRIVAL_DRAWS) {
+        return Err(format!(
+            "field \"interarrival\"={} gives tenants × arrivals × interarrival = {draws} \
+             arrival draws, over the daemon limit of {MAX_ARRIVAL_DRAWS}",
+            load.mean_interarrival
+        ));
+    }
+    Ok(())
 }
 
 fn op_build(state: &mut DaemonState, req: &mut Request) -> Result<String, String> {
@@ -313,6 +369,7 @@ fn parse_run(
     }
     if let RunMode::Served { load } = &mode {
         load.validate().map_err(|e| e.to_string())?;
+        check_load_size(load)?;
         let mut priced = base.clone();
         overrides.apply(&mut priced);
         if !cores_divide_llc(&priced, load.cores) {
@@ -762,6 +819,80 @@ mod tests {
         assert!(e.contains("no mutable structure"));
         // The session is still usable after every rejection above.
         ok_line(&mut s, "\"op\":\"digest\",\"session\":\"v\"");
+    }
+
+    #[test]
+    fn oversized_served_loads_are_refused_and_the_daemon_keeps_answering() {
+        // Unchecked, each of these reaches the simulator: a 4 G-slot queue
+        // or tenant table aborts the process on allocation, 2048 lanes each
+        // clone the image, and a 1e12-cycle mean gap spends tens of minutes
+        // drawing arrivals.
+        let mut s = state();
+        ok_line(
+            &mut s,
+            "\"op\":\"build\",\"session\":\"c\",\"kind\":\"jvm-gc\",\"p0\":500,\"p1\":20",
+        );
+        let cases: [(&str, &str, u64); 5] = [
+            (
+                "\"queue_depth\":4294967295",
+                "queue_depth",
+                MAX_QUEUE_DEPTH.into(),
+            ),
+            ("\"tenants\":4294967295", "tenants", MAX_TENANTS.into()),
+            ("\"cores\":2048", "cores", MAX_CORES.into()),
+            (
+                "\"tenants\":4096,\"arrivals\":2048",
+                "arrivals",
+                MAX_ARRIVALS,
+            ),
+            (
+                "\"interarrival\":1000000000000",
+                "interarrival",
+                MAX_ARRIVAL_DRAWS,
+            ),
+        ];
+        for (fields, key, limit) in cases {
+            let e = err_line(
+                &mut s,
+                &format!(
+                    "\"op\":\"run\",\"session\":\"c\",\"mode\":\"served\",\
+                     \"scheme\":\"cha-tlb\",{fields}"
+                ),
+            );
+            assert!(
+                e.contains(&format!("\\\"{key}\\\"=")) && e.contains(&format!("limit of {limit}")),
+                "{fields}: {e}"
+            );
+            ok_line(&mut s, "\"op\":\"ping\"");
+        }
+        ok_line(&mut s, "\"op\":\"digest\",\"session\":\"c\"");
+    }
+
+    #[test]
+    fn load_size_caps_admit_loads_at_the_limit() {
+        let at_limit = LoadSpec {
+            tenants: MAX_TENANTS,
+            arrivals_per_tenant: (MAX_ARRIVALS / u64::from(MAX_TENANTS)) as u32,
+            mean_interarrival: MAX_ARRIVAL_DRAWS / MAX_ARRIVALS,
+            queue_depth: MAX_QUEUE_DEPTH,
+            cores: MAX_CORES,
+            ..LoadSpec::default()
+        };
+        assert_eq!(check_load_size(&at_limit), Ok(()));
+        // The 8-core load sweep, the largest served load in the tree.
+        let sweep = LoadSpec {
+            tenants: 32,
+            arrivals_per_tenant: 128,
+            mean_interarrival: 4_000,
+            cores: 8,
+            ..LoadSpec::default()
+        };
+        assert_eq!(check_load_size(&sweep), Ok(()));
+        let one_more_draw = LoadSpec {
+            mean_interarrival: at_limit.mean_interarrival + 1,
+            ..at_limit
+        };
+        assert!(check_load_size(&one_more_draw).is_err());
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! own [`QeiAccelerator`] (QST + CEE, placed at the lane's core tile), its
 //! own private L1/L2, and its own guest-image replica — while the LLC
 //! slices and the NoC mesh behave as *shared* chip resources. Tenants are
-//! hash-sharded across lanes ([`qei_serve::lane_of_tenant`]), so every lane
-//! replays the same arrival stream filtered down to its shard.
+//! hash-sharded across lanes ([`qei_serve::lane_of_tenant`]), and each lane
+//! draws only its shard's arrivals ([`qei_serve::lane_arrivals`]) — once,
+//! on its own thread when lanes step in parallel — so a plan draws every
+//! tenant's stream exactly once.
 //!
 //! # The two-pass contention model
 //!
@@ -15,18 +17,19 @@
 //! contract forbids. The chip instead prices cross-core interference in two
 //! deterministic passes:
 //!
-//! 1. **Warm-up pass** — every lane serves its shard of the identical
-//!    arrival stream (also warming caches and accelerator TLBs, exactly
-//!    like the single-core engine path). Each lane records its windowed
-//!    LLC-slice access profile and its per-link NoC traffic.
+//! 1. **Warm-up pass** — every lane draws its shard's arrivals and serves
+//!    them (also warming caches and accelerator TLBs, exactly like the
+//!    single-core engine path). Each lane records its windowed LLC-slice
+//!    access profile and its per-link NoC traffic.
 //! 2. **Barrier** — [`qei_cache::arbitrate`] converts the slice profiles
 //!    into read-only per-lane penalty tables (cycle-window queueing delay,
 //!    ties broken by core id), and every lane's NoC learns the *other*
 //!    lanes' link traffic as a foreign-traffic background load.
 //! 3. **Measured pass** — epochs reset, the tables install, and every lane
-//!    re-serves its shard against the priced contention. Lanes never share
-//!    mutable state while stepping, so the pass parallelises across scoped
-//!    threads with bit-identical results in any interleaving.
+//!    replays the arrivals it drew in the warm-up pass against the priced
+//!    contention. Lanes never share mutable state while stepping, so the
+//!    pass parallelises across scoped threads with bit-identical results in
+//!    any interleaving.
 //!
 //! A single-lane chip records no pressure, installs no tables, and sees no
 //! foreign traffic, so `cores = 1` is byte-identical to the pre-chip
@@ -42,7 +45,7 @@ use qei_config::{Cycles, LoadSpec, MachineConfig, Scheme};
 use qei_core::{AccelStats, FaultCode, QeiAccelerator, QueryOutcome, QueryRequest, SubmitCtx};
 use qei_mem::{GuestMem, VirtAddr};
 use qei_noc::NocStats;
-use qei_serve::{run_load_lane, QueryBackend, ServeStats};
+use qei_serve::{lane_arrivals, run_load_lane, Arrival, QueryBackend, ServeStats};
 use qei_trace::{core_track, Event, EventBuf};
 use qei_workloads::{QueryJob, Workload};
 use std::time::{Duration, Instant};
@@ -132,6 +135,9 @@ struct Lane {
     workload: &'static str,
     /// Open mutation windows (served writes' seqlock bookkeeping).
     windows: EpochWindows,
+    /// The shard's arrivals, drawn by the warm-up pass and replayed by the
+    /// measured pass.
+    arrivals: Vec<Arrival>,
     /// Filled at the warm-up → measured barrier.
     warm_serve: ServeStats,
     serve: ServeStats,
@@ -163,6 +169,7 @@ impl Lane {
             blocking,
             workload: workload.name(),
             windows: EpochWindows::default(),
+            arrivals: Vec::new(),
             warm_serve: ServeStats::default(),
             serve: ServeStats::default(),
             events: EventBuf::new(),
@@ -170,24 +177,26 @@ impl Lane {
         }
     }
 
-    /// Serves this lane's shard once and discards its trace: the chip's
-    /// warm-up pass, which doubles as the contention-profiling pass.
+    /// Draws this lane's shard, serves it once, and discards its trace: the
+    /// chip's warm-up pass, which doubles as the contention-profiling pass.
     fn warm(&mut self, load: &LoadSpec, lane: u32, profile: bool) {
         if profile {
             self.mem.set_pressure_recording(true);
         }
-        let n_jobs = self.jobs.len() as u32;
+        let arrivals = lane_arrivals(load, self.jobs.len() as u32, lane);
         let mut scratch = EventBuf::new();
-        self.warm_serve = run_load_lane(load, n_jobs, lane, self, &mut scratch);
+        self.warm_serve = run_load_lane(load, &arrivals, self, &mut scratch);
+        self.arrivals = arrivals;
         crate::session::discard_warmup(&mut self.accel, &mut self.mem);
     }
 
-    /// Serves this lane's shard for real, with contention tables installed.
-    fn measure(&mut self, load: &LoadSpec, lane: u32) {
+    /// Serves the warm-up pass's arrivals again, for real, with contention
+    /// tables installed.
+    fn measure(&mut self, load: &LoadSpec) {
         let phase = Instant::now();
-        let n_jobs = self.jobs.len() as u32;
+        let arrivals = std::mem::take(&mut self.arrivals);
         let mut events = EventBuf::new();
-        self.serve = run_load_lane(load, n_jobs, lane, self, &mut events);
+        self.serve = run_load_lane(load, &arrivals, self, &mut events);
         self.events = events;
         self.step = phase.elapsed();
     }
@@ -341,8 +350,8 @@ pub(crate) fn run_served_qei(
         }
     }
 
-    // Measured pass: identical arrival stream, priced contention.
-    each_lane(&mut lanes, threads, |i, lane| lane.measure(load, i));
+    // Measured pass: the same per-lane arrivals, priced contention.
+    each_lane(&mut lanes, threads, |_, lane| lane.measure(load));
     let measured = phase.elapsed();
 
     // Deterministic merge, strictly in core-id order.

@@ -25,7 +25,7 @@ use qei_config::{Cycles, LoadSpec, MachineConfig, Scheme};
 use qei_core::{AccelStats, FaultCode, QeiAccelerator, QueryOutcome, QueryRequest, SubmitCtx};
 use qei_cpu::{CoreModel, MemBus, Trace};
 use qei_mem::{GuestMem, VirtAddr};
-use qei_serve::{run_load, run_load_lane, QueryBackend, ServeStats};
+use qei_serve::{lane_arrivals, run_load, run_load_lane, QueryBackend, ServeStats};
 use qei_workloads::dpdk::{DpdkFib, TupleSpace};
 use qei_workloads::flann::FlannLsh;
 use qei_workloads::jvm::JvmGc;
@@ -897,9 +897,9 @@ impl Engine {
         let service = (run.cycles / workload.jobs().len() as u64).max(1);
 
         // One calibrated single-server queue per core lane, each serving
-        // its tenant shard of the identical arrival stream (a software
-        // "chip" has no shared accelerator state to contend on, so lanes
-        // are fully independent).
+        // the arrivals of its own tenant shard (a software "chip" has no
+        // shared accelerator state to contend on, so lanes are fully
+        // independent).
         let n_jobs = workload.jobs().len() as u32;
         let contract_bound = Self::served_contract_bound(workload, sys.guest());
         let mut serve: Option<ServeStats> = None;
@@ -913,7 +913,8 @@ impl Engine {
                 expected: workload.expected(),
             };
             let mut events = qei_trace::EventBuf::new();
-            let mut lane_serve = run_load_lane(&load, n_jobs, lane, &mut backend, &mut events);
+            let arrivals = lane_arrivals(&load, n_jobs, lane);
+            let mut lane_serve = run_load_lane(&load, &arrivals, &mut backend, &mut events);
             lane_serve.contract_bound = backend.contract_bound;
             lane_serve.service_estimate = backend.service;
             let (mut evs, dropped) = events.drain();

@@ -307,6 +307,73 @@ fn served_reports_are_stable_across_engines_and_repeats() {
     assert!(a.stats.get("serve", "rejects").is_some());
 }
 
+/// FNV-1a over `bytes`: how a report is pinned across commits.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn served_report_bytes_are_pinned_across_commits() {
+    // The determinism tests above compare runs within one build, so a lane
+    // that dropped or double-served a tenant's stream would still pass
+    // them. These digests were recorded from the reports as they stood
+    // before any change to how lanes obtain their arrivals; a change that
+    // means to alter served behaviour must update them and say why.
+    // Plan order: cores {1, 2, 4} × write_pct {0, 30} × {Core-integrated
+    // QUERY_B, CHA-TLB QUERY_NB, software}.
+    const PINNED: [u64; 18] = [
+        0x79f9_5286_a646_707e,
+        0x1bfa_206e_cd22_4bd4,
+        0xbdf8_87f0_4f37_6415,
+        0x814f_5b53_6c25_4fb5,
+        0x2c1e_d218_61d4_fda5,
+        0x0a06_db89_130d_8bfc,
+        0x1430_16b9_85be_c216,
+        0x5a78_c449_c22a_de0f,
+        0x9cb2_bfbe_0292_1097,
+        0x918b_6b3f_a964_2f78,
+        0x17cd_ccee_af12_01dd,
+        0xef4b_93ec_6067_10ed,
+        0x8929_87a3_5d2c_ddf4,
+        0xf4ae_d08b_696b_7ae9,
+        0x9493_5e07_79be_9865,
+        0xaffc_e060_178d_e9fa,
+        0xa49d_0309_76ef_5889,
+        0x017c_8620_6952_ba43,
+    ];
+    let spec = dpdk(400, 60, 3, 11);
+    let mut plans = Vec::new();
+    for cores in [1u32, 2, 4] {
+        for write_pct in [0u32, 30] {
+            let load = LoadSpec {
+                tenants: 8,
+                mean_interarrival: 300,
+                arrivals_per_tenant: 24,
+                queue_depth: 8,
+                cores,
+                ..LoadSpec::default()
+            }
+            .with_write_pct(write_pct);
+            plans.push(RunPlan::served(spec, Some(Scheme::CoreIntegrated), load));
+            plans.push(RunPlan::served(
+                spec,
+                Some(Scheme::ChaTlb),
+                load.with_blocking(false),
+            ));
+            plans.push(RunPlan::served(spec, None, load));
+        }
+    }
+    let digests: Vec<u64> = Engine::paper()
+        .run_all(&plans)
+        .iter()
+        .map(|r| fnv1a(r.to_json().as_bytes()))
+        .collect();
+    let table: String = digests.iter().map(|d| format!("0x{d:016x},\n")).collect();
+    assert_eq!(digests, PINNED, "served report digests moved:\n{table}");
+}
+
 #[test]
 fn mixed_read_write_served_runs_are_deterministic_and_count_writes() {
     // The mutation workload rides the same determinism contract as the
