@@ -10,7 +10,7 @@ use qei_core::{run_query, FirmwareStore, QeiAccelerator, QueryRequest, SubmitCtx
 use qei_cpu::{CoreModel, MemBus, Trace};
 use qei_datastructs::{stage_key, ChainedHash, QueryDs};
 use qei_mem::GuestMem;
-use qei_sim::{RunMode, SimSession};
+use qei_sim::{ConfigOverrides, RunMode, SimSession};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -108,14 +108,22 @@ fn bench_accel_submission(suite: &mut BenchSuite) {
 }
 
 fn bench_full_runs(suite: &mut BenchSuite) {
+    // A one-shot session prices on the fixture's own image: no clone is
+    // timed.
     suite.bench_with_setup("full_runs/dpdk_baseline", dpdk_fixture, |(sys, w)| {
-        let mut session = SimSession::adopt(sys, Arc::new(w));
-        let r = session.run_adhoc(RunMode::Baseline, None);
+        let session = SimSession::adopt(sys, Arc::new(w));
+        let r = session.run_consuming(RunMode::Baseline, None, ConfigOverrides::none(), "bench");
         black_box(checksum(&r))
     });
     suite.bench_with_setup("full_runs/jvm_core_integrated", jvm_fixture, |(sys, w)| {
-        let mut session = SimSession::adopt(sys, Arc::new(w));
-        let r = session.run_adhoc(RunMode::QeiBlocking, Some(Scheme::CoreIntegrated));
+        let session = SimSession::adopt(sys, Arc::new(w));
+        let scheme = Some(Scheme::CoreIntegrated);
+        let r = session.run_consuming(
+            RunMode::QeiBlocking,
+            scheme,
+            ConfigOverrides::none(),
+            "bench",
+        );
         black_box(checksum(&r))
     });
 }

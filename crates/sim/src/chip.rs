@@ -7,8 +7,8 @@
 //! slices and the NoC mesh behave as *shared* chip resources. Tenants are
 //! hash-sharded across lanes ([`qei_serve::lane_of_tenant`]), and each lane
 //! draws only its shard's arrivals ([`qei_serve::lane_arrivals`]) — once,
-//! on its own thread when lanes step in parallel — so a plan draws every
-//! tenant's stream exactly once.
+//! on the worker that steps it — so a plan draws every tenant's stream
+//! exactly once.
 //!
 //! # The two-pass contention model
 //!
@@ -18,8 +18,8 @@
 //! deterministic passes:
 //!
 //! 1. **Warm-up pass** — every lane draws its shard's arrivals and serves
-//!    them (also warming caches and accelerator TLBs, exactly like the
-//!    single-core engine path). Each lane records its windowed LLC-slice
+//!    them (also warming caches and accelerator TLBs, exactly like a batch
+//!    run's warm-up pass). Each lane records its windowed LLC-slice
 //!    access profile and its per-link NoC traffic.
 //! 2. **Barrier** — [`qei_cache::arbitrate`] converts the slice profiles
 //!    into read-only per-lane penalty tables (cycle-window queueing delay,
@@ -27,19 +27,22 @@
 //!    lanes' link traffic as a foreign-traffic background load.
 //! 3. **Measured pass** — epochs reset, the tables install, and every lane
 //!    replays the arrivals it drew in the warm-up pass against the priced
-//!    contention. Lanes never share mutable state while stepping, so the
-//!    pass parallelises across scoped threads with bit-identical results in
-//!    any interleaving.
+//!    contention. Lanes never share mutable state while stepping, so both
+//!    passes spread across the caller's worker budget
+//!    ([`crate::scoped_map`]; `Engine::with_threads(1)` steps them on the
+//!    calling thread) with bit-identical results in any interleaving.
 //!
 //! A single-lane chip records no pressure, installs no tables, and sees no
-//! foreign traffic, so `cores = 1` is byte-identical to the pre-chip
-//! single-`System` path (pinned by an engine test).
+//! foreign traffic. Its reports are pinned by digest across commits
+//! (`served_report_bytes_are_pinned_across_commits`).
 //!
 //! LLC *capacity* sharing is modeled by giving each lane `1/cores` of the
 //! LLC: per-slice sets shrink by the lane count, which keeps the paper's
 //! slice geometry while making N lanes compete for the same total bytes.
 
 use crate::mutate::EpochWindows;
+use crate::report::CoreLaneData;
+use crate::scoped_map;
 use qei_cache::{arbitrate, MemStats, MemoryHierarchy, SlicePressure};
 use qei_config::{Cycles, LoadSpec, MachineConfig, Scheme};
 use qei_core::{AccelStats, FaultCode, QeiAccelerator, QueryOutcome, QueryRequest, SubmitCtx};
@@ -54,17 +57,17 @@ use std::time::{Duration, Instant};
 /// `serve_c{i}` stats subtrees and the `--profile` breakdown.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneReport {
-    /// The lane's serving statistics over its tenant shard.
-    pub serve: ServeStats,
-    /// Extra LLC cycles the contention table charged this lane.
-    pub contention_cycles: u64,
+    /// The lane's serving statistics and the contention cycles charged to
+    /// it: LLC slice queueing plus the NoC congestion the other lanes'
+    /// mesh traffic added.
+    pub data: CoreLaneData,
     /// Trace events the lane emitted in the measured pass.
     pub events: u64,
     /// Wall time of the lane's measured stepping (profiling only).
     pub step: Duration,
 }
 
-/// Everything the engine needs to report a chip run.
+/// Everything the served executor needs to report a chip run.
 pub(crate) struct ChipOutcome {
     /// Chip-aggregate serving statistics (tenant-wise lane merge).
     pub serve: ServeStats,
@@ -79,7 +82,7 @@ pub(crate) struct ChipOutcome {
     /// Per-lane reports, in lane order.
     pub lanes: Vec<LaneReport>,
     /// Per-lane trace sources with lane-namespaced tracks, ready for the
-    /// engine's trace collector.
+    /// executor's trace collector.
     pub trace_sources: Vec<(Vec<Event>, u64)>,
     /// Wall time of the warm-up pass (all lanes).
     pub warmup: Duration,
@@ -187,7 +190,16 @@ impl Lane {
         let mut scratch = EventBuf::new();
         self.warm_serve = run_load_lane(load, &arrivals, self, &mut scratch);
         self.arrivals = arrivals;
-        crate::session::discard_warmup(&mut self.accel, &mut self.mem);
+        // Warm-up events are not part of the measured epoch.
+        let _ = self.accel.drain_trace();
+        let _ = self.mem.drain_trace();
+    }
+
+    /// Starts the measured epoch: the accelerator's epoch counters reset
+    /// before the hierarchy's.
+    fn begin_epoch(&mut self) {
+        self.accel.reset_epoch();
+        self.mem.reset_epoch();
     }
 
     /// Serves the warm-up pass's arrivals again, for real, with contention
@@ -267,30 +279,10 @@ impl QueryBackend for Lane {
     }
 }
 
-/// Runs `f(lane_index, lane)` over every lane — on scoped threads when the
-/// engine's worker budget allows, serially otherwise. Lanes share nothing
-/// mutable, so the schedule cannot affect any lane's result.
-fn each_lane<F>(lanes: &mut [Lane], threads: usize, f: F)
-where
-    F: Fn(u32, &mut Lane) + Sync,
-{
-    if threads == 1 || lanes.len() == 1 {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            f(i as u32, lane);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let f = &f;
-            scope.spawn(move || f(i as u32, lane));
-        }
-    });
-}
-
 /// Serves `load` on a chip of `load.cores` lanes and merges the result in
-/// core-id order. `threads = 1` forces serial lane stepping (`--serial`);
-/// any other value steps lanes on scoped threads.
+/// core-id order. Lanes step on up to `threads` scoped workers (0 = one
+/// per available core, 1 = serially on the calling thread); they share
+/// nothing mutable, so the schedule cannot affect any lane's result.
 pub(crate) fn run_served_qei(
     config: &MachineConfig,
     guest: &GuestMem,
@@ -310,7 +302,9 @@ pub(crate) fn run_served_qei(
     // contention profiles.
     let phase = Instant::now();
     let shared = lanes_n > 1;
-    each_lane(&mut lanes, threads, |i, lane| lane.warm(load, i, shared));
+    scoped_map(lanes.iter_mut().enumerate(), threads, |(i, lane)| {
+        lane.warm(load, i as u32, shared);
+    });
     let warmup = phase.elapsed();
 
     // Barrier: price cross-lane contention from the warm-up profiles. All
@@ -329,7 +323,7 @@ pub(crate) fn run_served_qei(
             .unwrap_or(0)
             .max(1);
         for (i, lane) in lanes.iter_mut().enumerate() {
-            crate::session::begin_measured_epoch(&mut lane.accel, &mut lane.mem);
+            lane.begin_epoch();
             let table = tables[i].clone();
             lane.mem
                 .set_contention((!table.is_empty()).then_some(table));
@@ -345,13 +339,11 @@ pub(crate) fn run_served_qei(
             lane.mem.noc_mut().set_foreign_traffic(&foreign, horizon);
         }
     } else {
-        for lane in &mut lanes {
-            crate::session::begin_measured_epoch(&mut lane.accel, &mut lane.mem);
-        }
+        lanes.iter_mut().for_each(Lane::begin_epoch);
     }
 
     // Measured pass: the same per-lane arrivals, priced contention.
-    each_lane(&mut lanes, threads, |_, lane| lane.measure(load));
+    scoped_map(lanes.iter_mut(), threads, |lane| lane.measure(load));
     let measured = phase.elapsed();
 
     // Deterministic merge, strictly in core-id order.
@@ -390,10 +382,11 @@ pub(crate) fn run_served_qei(
             trace_sources.push((events, dropped));
         }
         reports.push(LaneReport {
-            serve: lane.serve.clone(),
-            // Both shared-resource charges: LLC slice queueing plus the NoC
-            // congestion the other lanes' mesh traffic added.
-            contention_cycles: lane.mem.contention_cycles() + lane.mem.noc().foreign_delay_cycles(),
+            data: CoreLaneData {
+                serve: lane.serve.clone(),
+                contention_cycles: lane.mem.contention_cycles()
+                    + lane.mem.noc().foreign_delay_cycles(),
+            },
             events: emitted,
             step: lane.step,
         });

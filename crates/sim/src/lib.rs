@@ -1,34 +1,35 @@
 //! Top-level co-simulation driver.
 //!
-//! The run pipeline is one explicit layer: a [`RunPlan`] names a workload
-//! (by seeds and sizing), an execution [`RunMode`] (software baseline,
-//! blocking QEI, non-blocking QEI, or the local-compare ablation), an
-//! integration [`Scheme`], and per-plan machine-configuration
-//! [`ConfigOverrides`]. An [`Engine`] executes plans — one at a time
-//! ([`Engine::run`]) or an independent list in parallel
-//! ([`Engine::run_all`], scoped threads, results in plan order).
+//! A [`RunPlan`] names a workload (by seeds and sizing), an execution
+//! [`RunMode`] (software baseline, blocking QEI, non-blocking QEI, the
+//! local-compare ablation, or open-loop serving), an integration
+//! [`Scheme`](qei_config::Scheme), and per-plan machine-configuration
+//! [`ConfigOverrides`].
 //!
-//! [`System`] is the state a single run executes against: the guest memory
-//! a workload was built into plus the machine configuration. Plans rebuild
-//! their system from seeds, so every run is self-contained and
-//! deterministic; callers with hand-built workloads wrap their own
-//! `System` in a [`SimSession`] (via [`SimSession::adopt`]).
+//! The run path has three layers, each calling only the next:
 //!
-//! [`SimSession`] is the persistent face of the same pipeline: it holds a
-//! built image across runs, forks it per run (byte-identical to a cold
-//! build), snapshots/reverts mutations, and submits single queries
-//! interactively — the surface the `qei-served` daemon serves over a
-//! socket.
-//!
-//! Every run performs a warm-up pass (same trace, same machine state)
-//! before the measured pass, modelling the steady state the paper
-//! measures, and verifies functional results against the workload's ground
-//! truth.
+//! * [`Engine`] schedules plans onto sessions — one at a time
+//!   ([`Engine::run`]) or an independent list on scoped worker threads
+//!   ([`Engine::run_all`], results in plan order). Its thread budget
+//!   ([`Engine::with_threads`]) also bounds the workers a served chip
+//!   steps its lanes on.
+//! * [`SimSession`] holds a built image: it forks it per run
+//!   (byte-identical to a cold build), snapshots/reverts mutations, and
+//!   submits single queries interactively — the surface the `qei-served`
+//!   daemon serves over a socket. Callers with hand-built workloads wrap
+//!   their own [`System`] with [`SimSession::adopt`].
+//! * The executors (crate-private) price one run on a [`System`]: the
+//!   guest memory a workload was built into plus the machine
+//!   configuration. Every batch run performs a warm-up pass (same trace,
+//!   same machine state) before the measured pass, modelling the steady
+//!   state the paper measures, and verifies functional results against the
+//!   workload's ground truth.
 
 #![forbid(unsafe_code)]
 pub mod bus;
 pub(crate) mod chip;
 pub mod engine;
+pub(crate) mod exec;
 pub(crate) mod mutate;
 pub mod report;
 pub mod session;
@@ -42,6 +43,8 @@ use qei_config::MachineConfig;
 use qei_cpu::Trace;
 use qei_mem::GuestMem;
 use qei_workloads::Workload;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Batch size for the non-blocking polling pattern (the paper polls every
 /// 32 keys).
@@ -90,9 +93,9 @@ impl System {
         &self.config
     }
 
-    /// Mutable access to the machine configuration — for ad-hoc callers
-    /// tuning the machine before an [`Engine::run_workload`] call. Plan
-    /// sweeps use [`ConfigOverrides`] instead.
+    /// Mutable access to the machine configuration — for callers tuning a
+    /// hand-built system before [`SimSession::adopt`]. Plan sweeps use
+    /// [`ConfigOverrides`] instead.
     pub fn config_mut(&mut self) -> &mut MachineConfig {
         &mut self.config
     }
@@ -101,6 +104,54 @@ impl System {
     pub fn core_id(&self) -> u32 {
         self.core_id
     }
+}
+
+/// Maps `f` over `items` on up to `threads` scoped workers (0 = one per
+/// available core), each claiming the next unclaimed item, and returns the
+/// results in item order. With one worker or one item, everything runs on
+/// the calling thread.
+pub(crate) fn scoped_map<I, R, F>(items: I, threads: usize, f: F) -> Vec<R>
+where
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    let items = items.into_iter();
+    let workers = match threads {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    }
+    .min(items.len());
+    if workers <= 1 {
+        return items.map(f).collect();
+    }
+    #[cfg(test)]
+    tests::SPAWNED.with(|n| n.set(n.get() + workers));
+    // Each slot holds its item until a worker claims it, then its result.
+    let slots: Vec<_> = items.map(|item| Mutex::new((Some(item), None))).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| {
+                while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let item = slot.lock().unwrap_or_else(PoisonError::into_inner).0.take();
+                    if let Some(item) = item {
+                        let result = f(item);
+                        slot.lock().unwrap_or_else(PoisonError::into_inner).1 = Some(result);
+                    }
+                }
+            });
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| {
+            let (_, result) = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
+            result.unwrap_or_else(|| unreachable!("the workers fill every slot"))
+        })
+        .collect()
 }
 
 /// Builds the blocking-QEI trace: per query, the surrounding application
@@ -172,8 +223,14 @@ pub fn build_qei_trace_nonblocking(workload: &dyn Workload, batch_size: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qei_config::Scheme;
+    use qei_config::{LoadSpec, Scheme};
     use qei_cpu::Uop;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Workers [`scoped_map`] spawned from this thread.
+        pub(super) static SPAWNED: Cell<usize> = const { Cell::new(0) };
+    }
 
     fn dpdk(flows: u64, queries: usize, guest_seed: u64, build_seed: u64) -> WorkloadSpec {
         WorkloadSpec::new(
@@ -271,6 +328,35 @@ mod tests {
         assert_eq!(trace.len(), 0);
         let blocking = build_qei_trace_blocking(w.as_ref());
         assert_eq!(blocking.len(), 0);
+    }
+
+    #[test]
+    fn serial_engine_steps_chip_lanes_on_the_calling_thread() {
+        // An engine's worker budget bounds a served chip's lanes as well as
+        // its plans: one worker spawns no thread at all, while four step a
+        // 4-lane chip's two passes on four workers each. The reports agree.
+        let load = LoadSpec {
+            tenants: 16,
+            mean_interarrival: 300,
+            arrivals_per_tenant: 8,
+            cores: 4,
+            ..LoadSpec::default()
+        };
+        let plan = RunPlan::served(dpdk(400, 60, 3, 11), Some(Scheme::CoreIntegrated), load);
+        let spawned = |run: &dyn Fn() -> RunReport| {
+            SPAWNED.with(|n| n.set(0));
+            let json = run().to_json();
+            (SPAWNED.with(Cell::get), json)
+        };
+        let serial = Engine::paper().with_threads(1);
+        let (workers, one) = spawned(&|| serial.run(&plan));
+        assert_eq!(workers, 0, "Engine::run");
+        let (workers, batch) = spawned(&|| serial.run_all(&[plan]).remove(0));
+        assert_eq!(workers, 0, "Engine::run_all");
+        let (workers, four) = spawned(&|| Engine::paper().with_threads(4).run(&plan));
+        assert_eq!(workers, 8, "two passes over 4 lanes on 4 workers");
+        assert_eq!(one, batch);
+        assert_eq!(one, four);
     }
 
     #[test]

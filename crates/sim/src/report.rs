@@ -54,9 +54,8 @@ pub struct ServedRunData {
     pub qst_occupancy: f64,
     /// Core lanes the load was sharded across (1 = the single-core path).
     pub cores: u32,
-    /// Per-lane reports, in core-id order. Empty when `cores == 1` so a
-    /// single-core run's stats tree is byte-identical to the pre-chip
-    /// engine's.
+    /// Per-lane reports, in core-id order. Exported only when `cores > 1`,
+    /// so a single-core run's stats tree carries no per-lane subtrees.
     pub per_core: Vec<CoreLaneData>,
 }
 

@@ -1,19 +1,19 @@
 //! [`SimSession`]: the one public surface for build → warm → snapshot →
-//! restore → submit → report.
+//! restore → submit → report, and the only code that executes a run.
 //!
-//! Historically the pipeline steps were spread across `Engine::run_all`
-//! (prototype builds + image clones), `System::from_parts` (ad-hoc callers),
-//! and the per-backend warm-up/`reset_epoch` discipline inside the serving
-//! backends. A session gathers them behind one handle that *persists*: it
-//! owns a built (and mutable) guest image plus the workload that describes
-//! it, and every run forks that state instead of rebuilding it from seeds.
+//! A session owns a built (and mutable) guest image plus the workload that
+//! describes it. Daemons and sweeps keep one alive and fork it per run
+//! instead of rebuilding from seeds; the batch scheduler builds one-shot
+//! sessions and consumes them.
 //!
 //! * [`SimSession::build`] — construct the workload image from a
 //!   [`WorkloadSpec`] (the expensive phase, paid once per session);
 //! * [`SimSession::run`] — fork the image (a flat memcpy) and price one
 //!   mode/scheme/override combination against it. Identical seeds produce
-//!   byte-identical reports whether a plan runs through the batch engine,
-//!   a long-lived session, or a daemon holding one (`qei-served`);
+//!   byte-identical reports whether a plan runs through the batch
+//!   scheduler, a long-lived session, or a daemon holding one
+//!   (`qei-served`). [`SimSession::run_consuming`] prices on the image
+//!   itself, for a session that exists only for one run;
 //! * [`SimSession::snapshot`] / [`SimSession::restore`] — cheap full-state
 //!   fork points. A snapshot captures the guest image *and* a clone of the
 //!   workload's [`StructureMutator`] handle, so reverting undoes mutations
@@ -23,36 +23,18 @@
 //!   [`SimSession::mutate_remove`] — single-operation interactive
 //!   submissions against the live image, for daemons and REPL-style use.
 //!
-//! The warm-up → measured-epoch ordering every accelerator backend must
-//! follow lives here too ([`discard_warmup`] / [`begin_measured_epoch`]),
-//! so the chip's two-pass path and the legacy single-lane path cannot
-//! drift apart.
+//! A session's own run methods step a served chip's lanes on the
+//! process-wide worker budget ([`crate::engine::set_default_threads`]).
 
-use crate::engine::{ConfigOverrides, Engine, RunMode, RunPlan, WorkloadSpec};
+use crate::engine::{default_threads, ConfigOverrides, RunMode, RunPlan, WorkloadSpec};
 use crate::report::RunReport;
-use crate::System;
+use crate::{exec, System};
 use qei_cache::MemoryHierarchy;
 use qei_config::{Cycles, MachineConfig, Scheme};
 use qei_core::{FaultCode, QeiAccelerator, QueryRequest, SubmitCtx};
 use qei_workloads::{StructureMutator, Workload};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Discards warm-up side effects that must not leak into the measured
-/// epoch: both the accelerator's and the hierarchy's buffered trace events.
-/// Every backend's warm-up pass ends through here.
-pub(crate) fn discard_warmup(accel: &mut QeiAccelerator, mem: &mut MemoryHierarchy) {
-    let _ = accel.drain_trace();
-    let _ = mem.drain_trace();
-}
-
-/// Starts the measured epoch: resets the accelerator's and the hierarchy's
-/// epoch counters in the one sanctioned order. Every backend's
-/// warm-up → measured barrier goes through here.
-pub(crate) fn begin_measured_epoch(accel: &mut QeiAccelerator, mem: &mut MemoryHierarchy) {
-    accel.reset_epoch();
-    mem.reset_epoch();
-}
 
 /// Whether `cores` lanes divide `config`'s LLC geometry evenly — the
 /// precondition the chip asserts before sharding a served run. Daemons
@@ -130,8 +112,8 @@ impl SimSession {
         }
     }
 
-    /// Wraps an already-cloned prototype image — the batch engine's shared
-    /// build path ([`Engine::run_all`]).
+    /// Wraps an already-cloned prototype image — the batch scheduler's
+    /// shared build path, where plans over one spec share one build.
     ///
     /// # Panics
     ///
@@ -154,10 +136,8 @@ impl SimSession {
     }
 
     /// Adopts a hand-assembled [`System`] whose guest already holds the
-    /// workload's structures — the migration path for callers that used
-    /// `System::from_parts` + [`Engine::run_workload`] directly (benches,
-    /// examples). [`SimSession::run_adhoc`] reproduces that path
-    /// byte-for-byte.
+    /// workload's structures — for callers that build their own data
+    /// structures (benches, examples) instead of using a [`WorkloadSpec`].
     pub fn adopt(system: System, workload: Arc<dyn Workload>) -> SimSession {
         let mutator = workload.mutator();
         SimSession {
@@ -170,8 +150,8 @@ impl SimSession {
         }
     }
 
-    /// Records `build` as this session's build-phase wall time (the
-    /// [`Engine::run_all`] path measures the prototype clone outside).
+    /// Records `build` as this session's build-phase wall time (for
+    /// callers that build or clone the image outside the session).
     pub fn with_build_time(mut self, build: Duration) -> SimSession {
         self.build = build;
         self
@@ -211,7 +191,7 @@ impl SimSession {
     /// `overrides` to the session's base configuration, clones the guest (a
     /// flat memcpy), and executes. The session itself is untouched, so any
     /// number of forks in any order produce byte-identical reports —
-    /// identical to cold-building each plan through [`Engine::run`].
+    /// identical to cold-building each plan from its seeds.
     ///
     /// # Panics
     ///
@@ -228,7 +208,8 @@ impl SimSession {
         overrides.apply(&mut config);
         let mut sys = System::from_parts(config, self.system.guest().clone());
         let build = self.build + started.elapsed();
-        Engine::execute(&mut sys, self.workload.as_ref(), mode, scheme, build, tag)
+        let threads = default_threads();
+        exec::execute(&mut sys, self.workload(), mode, scheme, build, tag, threads)
     }
 
     /// [`SimSession::run`] with the mode/scheme/overrides/tag taken from a
@@ -239,18 +220,30 @@ impl SimSession {
     }
 
     /// Consumes the session and executes on its live system without the
-    /// fork clone — the batch engine's one-shot path, where the session
-    /// exists only for this run.
+    /// fork clone — for sessions that exist only for this run.
     ///
     /// # Panics
     ///
     /// Panics on a functional mismatch or an invalid overridden config.
     pub fn run_consuming(
+        self,
+        mode: RunMode,
+        scheme: Option<Scheme>,
+        overrides: ConfigOverrides,
+        tag: &str,
+    ) -> RunReport {
+        self.consume(mode, scheme, overrides, tag, default_threads())
+    }
+
+    /// [`SimSession::run_consuming`] with an explicit worker budget for a
+    /// served chip's lanes (0 = one per available core, 1 = serial).
+    pub(crate) fn consume(
         mut self,
         mode: RunMode,
         scheme: Option<Scheme>,
         overrides: ConfigOverrides,
         tag: &str,
+        threads: usize,
     ) -> RunReport {
         let started = Instant::now();
         overrides.apply(self.system.config_mut());
@@ -259,35 +252,15 @@ impl SimSession {
             "invalid machine config"
         );
         let build = self.build + started.elapsed();
-        Engine::execute(
+        let workload = self.workload.as_ref();
+        exec::execute(
             &mut self.system,
-            self.workload.as_ref(),
+            workload,
             mode,
             scheme,
             build,
             tag,
-        )
-    }
-
-    /// Executes on the live system in place, exactly like the legacy
-    /// [`Engine::run_workload`] (which it is pinned against): the run's
-    /// scratch allocations (non-blocking result buffers) land in the
-    /// session's guest. The interactive lane is dropped, since the run
-    /// rewinds no state.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a functional mismatch, or if a QEI mode is given no
-    /// scheme.
-    pub fn run_adhoc(&mut self, mode: RunMode, scheme: Option<Scheme>) -> RunReport {
-        self.interactive = None;
-        Engine::execute(
-            &mut self.system,
-            self.workload.as_ref(),
-            mode,
-            scheme,
-            Duration::ZERO,
-            "adhoc",
+            threads,
         )
     }
 
@@ -419,29 +392,8 @@ mod tests {
     }
 
     #[test]
-    fn adopt_pins_the_legacy_run_workload_path() {
-        let config = MachineConfig::skylake_sp_24();
-        let spec = jvm_spec();
-        for (mode, scheme) in [
-            (RunMode::Baseline, None),
-            (RunMode::QeiBlocking, Some(Scheme::ChaTlb)),
-            (
-                RunMode::QeiNonblocking { batch: 16 },
-                Some(Scheme::CoreIntegrated),
-            ),
-        ] {
-            let (mut sys, w) = spec.build(&config);
-            let old = Engine::run_workload(&mut sys, w.as_ref(), mode, scheme).to_json();
-            let (sys, w) = spec.build(&config);
-            let mut session = SimSession::adopt(sys, Arc::from(w));
-            let new = session.run_adhoc(mode, scheme).to_json();
-            assert_eq!(old, new, "{mode}: adopt diverged from run_workload");
-        }
-    }
-
-    #[test]
     fn forked_sweep_matches_cold_builds() {
-        let engine = Engine::paper();
+        let config = MachineConfig::skylake_sp_24();
         let spec = jvm_spec();
         let plans = [
             RunPlan::baseline(spec),
@@ -450,12 +402,19 @@ mod tests {
             RunPlan::qei_nonblocking(spec, Scheme::DeviceDirect, 16),
             RunPlan::qei(spec, Scheme::CoreIntegrated).with_device_latency(900),
         ];
-        let session = SimSession::build(MachineConfig::skylake_sp_24(), spec);
+        let session = SimSession::build(config.clone(), spec);
         let warm: Vec<String> = plans
             .iter()
             .map(|p| session.run_plan(p).to_json())
             .collect();
-        let cold: Vec<String> = plans.iter().map(|p| engine.run(p).to_json()).collect();
+        let cold: Vec<String> = plans
+            .iter()
+            .map(|p| {
+                SimSession::build(config.clone(), spec)
+                    .run_consuming(p.mode, p.scheme, p.overrides, &p.tag())
+                    .to_json()
+            })
+            .collect();
         assert_eq!(warm, cold, "forked runs diverged from cold builds");
         // Forking left the session untouched: the same plans fork the same
         // reports again.

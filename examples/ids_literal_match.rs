@@ -34,9 +34,10 @@ fn main() {
     println!();
 
     // A hand-built workload prices through a SimSession wrapping the system;
-    // the one warm image serves the baseline and every QEI scheme.
-    let mut session = SimSession::adopt(sys, Arc::new(ips));
-    let baseline = session.run_adhoc(RunMode::Baseline, None);
+    // every run forks the one built image, for the baseline and each scheme.
+    let session = SimSession::adopt(sys, Arc::new(ips));
+    let run = |mode, scheme| session.run(mode, scheme, ConfigOverrides::none(), "ids");
+    let baseline = run(RunMode::Baseline, None);
     println!(
         "software AC scan : {:>9} cycles total ({:.0} cycles/payload, frontend-bound {:.0}%)",
         baseline.cycles,
@@ -45,7 +46,7 @@ fn main() {
     );
 
     for scheme in [Scheme::CoreIntegrated, Scheme::ChaTlb, Scheme::DeviceDirect] {
-        let qei = session.run_adhoc(RunMode::QeiBlocking, Some(scheme));
+        let qei = run(RunMode::QeiBlocking, Some(scheme));
         println!(
             "{:16}: {:>9} cycles ({:.2}x), core instructions/scan {:.0} (vs {:.0})",
             scheme.label(),

@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full system driven through the facade.
 
 use qei::prelude::*;
+use std::sync::Arc;
 
 fn dpdk(flows: u64, queries: usize, guest_seed: u64, build_seed: u64) -> WorkloadSpec {
     WorkloadSpec::new(
@@ -175,10 +176,11 @@ fn serial_and_parallel_engines_produce_identical_reports() {
 #[test]
 fn multi_core_served_reports_are_identical_across_schedules_and_repeats() {
     // The multi-core determinism matrix: for chips of 2 and 4 lanes, a
-    // serial engine, a 4-worker engine, and a repeat of the parallel run
-    // must produce byte-identical reports. Lane stepping shares the LLC
-    // and NoC only through the deterministic two-pass arbiter, so the
-    // host schedule must never show through.
+    // serial engine (plans and each chip's lanes all stepped on the test's
+    // thread), a 4-worker engine (lanes stepped on up to 4 workers), and a
+    // repeat of the parallel run must produce byte-identical reports. Lane
+    // stepping shares the LLC and NoC only through the deterministic
+    // two-pass arbiter, so the host schedule must never show through.
     let spec = dpdk(400, 60, 3, 11);
     for cores in [2u32, 4] {
         let load = LoadSpec {
@@ -375,12 +377,156 @@ fn served_report_bytes_are_pinned_across_commits() {
 }
 
 #[test]
+fn batch_report_bytes_are_pinned_across_commits() {
+    // The batch counterpart of the served pin above: every workload kind
+    // under every batch mode, priced by Engine::run_all, by a warm
+    // session's run_plan, and by a session adopting a hand-built system.
+    // The digests were recorded before the run path was folded into
+    // SimSession; a change that means to alter batch reports must update
+    // them and say why. Plan order, per workload (DPDK, tuple space, JVM,
+    // RocksDB, Snort, FLANN): baseline, QUERY_B under each scheme in
+    // Scheme::ALL, CHA-TLB QUERY_NB polled every 8 keys, Core-integrated
+    // local compare, and Device-direct QUERY_B with a 900-cycle device and
+    // 4 QST entries.
+    const PINNED: [u64; 54] = [
+        0x7d81_5493_72f4_85e1,
+        0x7702_ae43_be2b_6883,
+        0x9ddf_ef74_e7f1_7dc1,
+        0x715c_0a66_0fc7_b73a,
+        0xa3f5_0443_1b47_b319,
+        0x9681_c769_7733_f3a1,
+        0xce0c_7b55_408c_2fee,
+        0x7307_c96a_e32f_4af4,
+        0xdb68_53a7_21bf_b65b,
+        0x8608_1930_e9a4_44d3,
+        0x0f15_6983_2cd8_dab7,
+        0x85e6_46da_3f24_6038,
+        0x9833_d546_c6d3_bbee,
+        0x0b01_6652_c6b4_7172,
+        0x6ac6_9f7a_19d2_d367,
+        0x0ae7_e3c7_49d3_039a,
+        0xb0c9_ff9e_54f2_2184,
+        0x13d3_0097_2271_850d,
+        0xd5ba_52c9_404e_0398,
+        0x0b26_2321_5115_8a6a,
+        0xa0be_ed68_ae27_304f,
+        0xbe3b_0ec1_8232_e6a0,
+        0xc009_f454_ac82_e9fa,
+        0x039f_0cbd_c62c_8c22,
+        0x99aa_f3c0_8239_78e0,
+        0x6da1_0109_7db0_cd5c,
+        0x9610_447a_1f7b_8cb1,
+        0x7af4_2970_999f_7307,
+        0xf3f9_f62f_c7f7_2c83,
+        0x8de0_4a2b_cc3d_dfa7,
+        0x9459_9961_6c0a_bbd6,
+        0xbf99_d9dd_f472_65ed,
+        0xa17f_7ae8_8419_4c6d,
+        0xd1a9_6216_039b_0185,
+        0xdf4c_b0bb_11b1_c71e,
+        0x0cec_8016_5ff3_5a23,
+        0xfc69_c1c8_0746_4c82,
+        0x56ac_d8fc_ca5b_579b,
+        0xc724_dc95_c9fd_2c57,
+        0x09c7_cce8_da1e_1888,
+        0xe208_a0a4_ce22_42cd,
+        0x3be2_c43a_a5b0_7e38,
+        0x81cf_6a10_4121_a865,
+        0xea76_549d_1c64_dcea,
+        0xf150_b669_9571_35fc,
+        0x7a24_b829_3313_f19c,
+        0x0cd1_a6af_74c2_1343,
+        0xf13c_612d_d5ef_a37f,
+        0xef68_3ea7_da32_105d,
+        0x5152_d377_5566_2d5c,
+        0x82cb_c272_7102_4656,
+        0x1610_772a_5ad4_94e6,
+        0x2382_4ff8_77a6_a116,
+        0x3334_113a_f5fb_f63f,
+    ];
+    let specs = [
+        dpdk(400, 40, 3, 11),
+        WorkloadSpec::new(
+            5,
+            6,
+            WorkloadKind::TupleSpace {
+                tuples: 3,
+                flows_per_table: 200,
+                packets: 16,
+            },
+        ),
+        jvm(2_000, 40, 4, 12),
+        WorkloadSpec::new(
+            6,
+            7,
+            WorkloadKind::RocksDbMem {
+                items: 300,
+                queries: 30,
+            },
+        ),
+        WorkloadSpec::new(
+            7,
+            8,
+            WorkloadKind::SnortAc {
+                keywords: 60,
+                scans: 4,
+                text_len: 256,
+            },
+        ),
+        WorkloadSpec::new(
+            8,
+            9,
+            WorkloadKind::FlannLsh {
+                tables: 4,
+                items: 300,
+                searches: 16,
+            },
+        ),
+    ];
+    let overrides = ConfigOverrides {
+        device_data_latency: Some(900),
+        qst_entries: Some(4),
+        ..ConfigOverrides::none()
+    };
+    let mut plans = Vec::new();
+    for &spec in &specs {
+        plans.push(RunPlan::baseline(spec));
+        plans.extend(Scheme::ALL.map(|scheme| RunPlan::qei(spec, scheme)));
+        plans.push(RunPlan::qei_nonblocking(spec, Scheme::ChaTlb, 8));
+        plans.push(RunPlan::local_compare(spec, Scheme::CoreIntegrated));
+        plans.push(RunPlan::qei(spec, Scheme::DeviceDirect).with_overrides(overrides));
+    }
+    let digest = |r: &RunReport| fnv1a(r.to_json().as_bytes());
+    let engine = Engine::paper();
+    let batch: Vec<u64> = engine.run_all(&plans).iter().map(digest).collect();
+    let table: String = batch.iter().map(|d| format!("0x{d:016x},\n")).collect();
+    assert_eq!(batch, PINNED, "batch report digests moved:\n{table}");
+    // A warm session and an adopted hand-built system price the same bytes.
+    let config = engine.config();
+    for &spec in &specs {
+        let session = SimSession::build(config.clone(), spec);
+        let (sys, workload) = spec.build(config);
+        let adopted = SimSession::adopt(sys, Arc::from(workload));
+        for (i, plan) in plans.iter().enumerate() {
+            if plan.workload != spec {
+                continue;
+            }
+            let forked = session.run_plan(plan);
+            assert_eq!(digest(&forked), PINNED[i], "plan {i}: SimSession::run_plan");
+            let adopted = adopted.run(plan.mode, plan.scheme, plan.overrides, &plan.tag());
+            assert_eq!(digest(&adopted), PINNED[i], "plan {i}: adopted session");
+        }
+    }
+}
+
+#[test]
 fn mixed_read_write_served_runs_are_deterministic_and_count_writes() {
     // The mutation workload rides the same determinism contract as the
     // lookup-only streams: a served plan with a write mix must produce
-    // byte-identical reports from a serial engine, a 4-worker engine, and a
-    // repeat — on both a single-lane chip and a multi-lane one — while the
-    // serve group actually accounts for the writes it routed.
+    // byte-identical reports from a serial engine (which steps the chip's
+    // lanes serially too), a 4-worker engine, and a repeat — on both a
+    // single-lane chip and a multi-lane one — while the serve group
+    // actually accounts for the writes it routed.
     let spec = dpdk(400, 60, 3, 11);
     for cores in [1u32, 2] {
         let load = LoadSpec {
