@@ -19,14 +19,16 @@
 //! * `--threshold <pct>` — median-time regression tolerance in percent
 //!   (default 25).
 //!
-//! `QEI_BENCH_OUT` names the directory reports are written to (default:
-//! the workspace root). Relative paths resolve against the workspace root,
-//! not the bench binary's working directory.
+//! Reports land in `target/qei-bench/` unless `QEI_BENCH_OUT` names another
+//! directory. Relative paths resolve against the workspace root, not the
+//! bench binary's working directory. The baseline is read before anything
+//! is written, and a run whose report would overwrite its own baseline is
+//! refused.
 
 use qei_config::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 
 /// Statistics for one measured bench, in nanoseconds per call.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,78 +125,87 @@ impl BenchSuite {
         &self.records
     }
 
-    /// Writes `BENCH_<suite>.json`, runs the `--check` comparison if one was
-    /// requested, and exits the process non-zero on regression or I/O
-    /// failure. Call as the last statement of a bench `main`.
+    /// Reads the `--check` baseline if one was requested, writes
+    /// `BENCH_<suite>.json`, runs the comparison, and exits the process
+    /// non-zero on regression or I/O failure. Call as the last statement of
+    /// a bench `main`.
     pub fn finish(self) {
-        let out_dir = resolve_against_workspace(
-            &std::env::var_os("QEI_BENCH_OUT")
-                .map(PathBuf::from)
-                .unwrap_or_default(),
+        let out_dir = std::env::var_os("QEI_BENCH_OUT").map(PathBuf::from);
+        let paths = report_paths(
+            self.name,
+            workspace_root(),
+            out_dir.as_deref(),
+            self.check.as_deref(),
+            Path::is_dir,
         );
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            eprintln!("error: cannot create {}: {e}", out_dir.display());
-            std::process::exit(1);
-        }
-        let out_path = out_dir.join(format!("BENCH_{}.json", self.name));
+        let (out_path, baseline) = match paths {
+            Ok(paths) => paths,
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1);
+            }
+        };
+        let baseline = baseline.map(|path| {
+            let medians = std::fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| baseline_medians(&text));
+            match medians {
+                Ok(medians) => (path, medians),
+                Err(e) => {
+                    eprintln!("error: baseline {}: {e}", path.display());
+                    std::process::exit(1);
+                }
+            }
+        });
+
         let mut body = render_report(self.name, &self.records);
         body.push('\n');
-        if let Err(e) = std::fs::write(&out_path, body) {
+        let written = match out_path.parent() {
+            Some(dir) => {
+                std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&out_path, body))
+            }
+            None => std::fs::write(&out_path, body),
+        };
+        if let Err(e) = written {
             eprintln!("error: cannot write {}: {e}", out_path.display());
             std::process::exit(1);
         }
         println!("bench report written to {}", out_path.display());
 
-        let Some(baseline) = &self.check else { return };
-        let mut baseline = resolve_against_workspace(baseline);
-        if baseline.is_dir() {
-            baseline = baseline.join(format!("BENCH_{}.json", self.name));
-        }
-        let text = match std::fs::read_to_string(&baseline) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: cannot read baseline {}: {e}", baseline.display());
-                std::process::exit(1);
-            }
+        let Some((baseline, medians)) = baseline else {
+            return;
         };
-        match compare(&self.records, &text, self.threshold_pct) {
-            Ok(outcome) => {
-                println!(
-                    "check vs {} (median-time threshold +{}%)",
-                    baseline.display(),
-                    self.threshold_pct
-                );
-                for line in &outcome.lines {
-                    println!("  {line}");
-                }
-                let mut failed = false;
-                if !outcome.regressed.is_empty() {
-                    eprintln!(
-                        "check FAILED: {} bench(es) regressed past +{}%: {}",
-                        outcome.regressed.len(),
-                        self.threshold_pct,
-                        outcome.regressed.join(", ")
-                    );
-                    failed = true;
-                }
-                if !outcome.mismatched.is_empty() {
-                    eprintln!(
-                        "check FAILED: {} bench(es) present on only one side (stale baseline or dropped bench): {}",
-                        outcome.mismatched.len(),
-                        outcome.mismatched.join(", ")
-                    );
-                    failed = true;
-                }
-                if failed {
-                    std::process::exit(1);
-                }
-                println!("check passed: no bench regressed past the threshold");
-            }
-            Err(e) => {
-                eprintln!("error: baseline {}: {e}", baseline.display());
-                std::process::exit(1);
-            }
+        let outcome = compare(&self.records, &medians, self.threshold_pct);
+        println!(
+            "check vs {} (median-time threshold +{}%)",
+            baseline.display(),
+            self.threshold_pct
+        );
+        for line in &outcome.lines {
+            println!("  {line}");
         }
+        let mut failed = false;
+        if !outcome.regressed.is_empty() {
+            eprintln!(
+                "check FAILED: {} bench(es) regressed past +{}%: {}",
+                outcome.regressed.len(),
+                self.threshold_pct,
+                outcome.regressed.join(", ")
+            );
+            failed = true;
+        }
+        if !outcome.mismatched.is_empty() {
+            eprintln!(
+                "check FAILED: {} bench(es) present on only one side (stale baseline or dropped bench): {}",
+                outcome.mismatched.len(),
+                outcome.mismatched.join(", ")
+            );
+            failed = true;
+        }
+        if failed {
+            std::process::exit(1);
+        }
+        println!("check passed: no bench regressed past the threshold");
     }
 }
 
@@ -204,14 +215,55 @@ fn workspace_root() -> &'static Path {
     Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
 }
 
-fn resolve_against_workspace(p: &Path) -> PathBuf {
-    if p.as_os_str().is_empty() {
-        workspace_root().to_path_buf()
-    } else if p.is_absolute() {
-        p.to_path_buf()
-    } else {
-        workspace_root().join(p)
+/// Default report directory, relative to the workspace root.
+const DEFAULT_OUT_DIR: &str = "target/qei-bench";
+
+/// Decides where a run writes `BENCH_<suite>.json` and which baseline file
+/// it checks against, as `(report, baseline)`. Reports go to `out_dir` or,
+/// by default, [`DEFAULT_OUT_DIR`]; a `check` path that `is_dir` names the
+/// suite's report inside it. Relative paths resolve against `root`.
+///
+/// # Errors
+///
+/// Refuses a report path that is the baseline itself: the run would
+/// overwrite its baseline and then compare against its own numbers.
+fn report_paths(
+    suite: &str,
+    root: &Path,
+    out_dir: Option<&Path>,
+    check: Option<&Path>,
+    is_dir: impl Fn(&Path) -> bool,
+) -> Result<(PathBuf, Option<PathBuf>), String> {
+    let file = format!("BENCH_{suite}.json");
+    let resolve = |p: &Path| normalize(&root.join(p));
+    let report = resolve(out_dir.unwrap_or(Path::new(DEFAULT_OUT_DIR))).join(&file);
+    let baseline = check
+        .map(resolve)
+        .map(|b| if is_dir(&b) { b.join(&file) } else { b });
+    if let Some(b) = baseline.as_ref().filter(|&b| *b == report) {
+        return Err(format!(
+            "the report {} would overwrite the --check baseline {}; point QEI_BENCH_OUT elsewhere",
+            report.display(),
+            b.display()
+        ));
     }
+    Ok((report, baseline))
+}
+
+/// `p` with `.` components dropped and each `..` folded into its parent, so
+/// two spellings of one path compare equal without touching the filesystem.
+fn normalize(p: &Path) -> PathBuf {
+    let mut out = PathBuf::new();
+    for c in p.components() {
+        match c {
+            Component::CurDir => {}
+            Component::ParentDir if out.file_name().is_some() => {
+                out.pop();
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 // --- report encoding -------------------------------------------------------
@@ -276,15 +328,14 @@ struct CompareOutcome {
     mismatched: Vec<String>,
 }
 
-/// Compares current records against a baseline report body. Benches present
+/// Compares current records against a baseline's medians. Benches present
 /// only on one side land in `mismatched` and fail the check: a bench that
 /// disappears from the run is exactly how a regression gate goes blind.
 fn compare(
     current: &[BenchRecord],
-    baseline_text: &str,
+    baseline: &BTreeMap<String, f64>,
     threshold_pct: f64,
-) -> Result<CompareOutcome, String> {
-    let baseline = baseline_medians(baseline_text)?;
+) -> CompareOutcome {
     let current: BTreeMap<&str, &BenchRecord> =
         current.iter().map(|r| (r.name.as_str(), r)).collect();
     let mut lines = Vec::new();
@@ -320,11 +371,11 @@ fn compare(
             mismatched.push(name.clone());
         }
     }
-    Ok(CompareOutcome {
+    CompareOutcome {
         lines,
         regressed,
         mismatched,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -340,6 +391,11 @@ mod tests {
             max_ns: median_ns * 1.5,
             samples: 50,
         }
+    }
+
+    /// A baseline's medians, as `finish` reads them from a report.
+    fn medians(records: &[BenchRecord]) -> BTreeMap<String, f64> {
+        baseline_medians(&render_report("s", records)).unwrap()
     }
 
     #[test]
@@ -363,9 +419,9 @@ mod tests {
 
     #[test]
     fn compare_flags_only_past_threshold_regressions() {
-        let baseline = render_report("s", &[rec("fast", 100.0), rec("slow", 100.0)]);
+        let baseline = medians(&[rec("fast", 100.0), rec("slow", 100.0)]);
         // fast regresses 10% (within 25%), slow regresses 60% (fails).
-        let outcome = compare(&[rec("fast", 110.0), rec("slow", 160.0)], &baseline, 25.0).unwrap();
+        let outcome = compare(&[rec("fast", 110.0), rec("slow", 160.0)], &baseline, 25.0);
         assert_eq!(outcome.regressed, vec!["slow".to_owned()]);
         assert!(outcome.lines.iter().any(|l| l.contains("REGRESSED")));
     }
@@ -374,8 +430,8 @@ mod tests {
     fn compare_fails_a_bench_missing_from_the_run() {
         // A bench in the baseline that this run never measured means the
         // gate is blind to it — that must fail, not warn.
-        let baseline = render_report("s", &[rec("kept", 100.0), rec("dropped", 100.0)]);
-        let outcome = compare(&[rec("kept", 100.0)], &baseline, 25.0).unwrap();
+        let baseline = medians(&[rec("kept", 100.0), rec("dropped", 100.0)]);
+        let outcome = compare(&[rec("kept", 100.0)], &baseline, 25.0);
         assert!(outcome.regressed.is_empty());
         assert_eq!(outcome.mismatched, vec!["dropped".to_owned()]);
         assert!(outcome.lines.iter().any(|l| l.contains("not measured")));
@@ -385,8 +441,8 @@ mod tests {
     fn compare_fails_a_bench_missing_from_the_baseline() {
         // A new bench with no baseline entry means the committed baseline
         // is stale and must be regenerated.
-        let baseline = render_report("s", &[rec("old", 100.0)]);
-        let outcome = compare(&[rec("old", 100.0), rec("new", 5_000.0)], &baseline, 25.0).unwrap();
+        let baseline = medians(&[rec("old", 100.0)]);
+        let outcome = compare(&[rec("old", 100.0), rec("new", 5_000.0)], &baseline, 25.0);
         assert!(outcome.regressed.is_empty());
         assert_eq!(outcome.mismatched, vec!["new".to_owned()]);
         assert!(outcome.lines.iter().any(|l| l.contains("new bench")));
@@ -394,29 +450,29 @@ mod tests {
 
     #[test]
     fn matched_benches_produce_no_mismatches() {
-        let baseline = render_report("s", &[rec("a", 100.0), rec("b", 100.0)]);
-        let outcome = compare(&[rec("a", 101.0), rec("b", 99.0)], &baseline, 25.0).unwrap();
+        let baseline = medians(&[rec("a", 100.0), rec("b", 100.0)]);
+        let outcome = compare(&[rec("a", 101.0), rec("b", 99.0)], &baseline, 25.0);
         assert!(outcome.mismatched.is_empty());
         assert!(outcome.regressed.is_empty());
     }
 
     #[test]
     fn improvements_never_fail() {
-        let baseline = render_report("s", &[rec("b", 100.0)]);
-        let outcome = compare(&[rec("b", 10.0)], &baseline, 0.0).unwrap();
+        let baseline = medians(&[rec("b", 100.0)]);
+        let outcome = compare(&[rec("b", 10.0)], &baseline, 0.0);
         assert!(outcome.regressed.is_empty());
     }
 
     #[test]
     fn compare_reads_medians_not_means() {
-        let baseline = render_report("s", &[rec("a", 100.0), rec("b", 100.0)]);
+        let baseline = medians(&[rec("a", 100.0), rec("b", 100.0)]);
         // An outlier-inflated mean with a steady median passes; a median
         // regression fails even when the mean looks steady.
         let mut noisy = rec("a", 100.0);
         noisy.mean_ns = 1_000.0;
         let mut slower = rec("b", 200.0);
         slower.mean_ns = 105.0;
-        let outcome = compare(&[noisy, slower], &baseline, 25.0).unwrap();
+        let outcome = compare(&[noisy, slower], &baseline, 25.0);
         assert_eq!(outcome.regressed, vec!["b".to_owned()]);
         assert!(outcome.lines.iter().all(|l| l.contains("median")));
     }
@@ -435,6 +491,57 @@ mod tests {
         ] {
             assert!(baseline_medians(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn reports_default_under_target_and_baselines_resolve_against_root() {
+        let root = Path::new("/ws/crates/bench/../..");
+        let is_dir = |p: &Path| p == Path::new("/ws");
+        let (report, baseline) =
+            report_paths("sub", root, None, Some(Path::new(".")), is_dir).unwrap();
+        assert_eq!(report, Path::new("/ws/target/qei-bench/BENCH_sub.json"));
+        assert_eq!(baseline.as_deref(), Some(Path::new("/ws/BENCH_sub.json")));
+        // QEI_BENCH_OUT overrides the directory; a baseline file is taken
+        // as named; no --check means no baseline.
+        let out = Some(Path::new("out"));
+        let check = Some(Path::new("old/BENCH_sub.json"));
+        let (report, baseline) = report_paths("sub", root, out, check, is_dir).unwrap();
+        assert_eq!(report, Path::new("/ws/out/BENCH_sub.json"));
+        assert_eq!(
+            baseline.as_deref(),
+            Some(Path::new("/ws/old/BENCH_sub.json"))
+        );
+        let (_, baseline) = report_paths("sub", root, out, None, is_dir).unwrap();
+        assert_eq!(baseline, None);
+    }
+
+    #[test]
+    fn a_report_never_overwrites_its_baseline() {
+        let root = Path::new("/ws");
+        let is_dir = |p: &Path| p == Path::new("/ws");
+        // The same file, spelled as a directory and as a file, relative and
+        // absolute.
+        for (out, check) in [
+            (".", "."),
+            ("/ws", "BENCH_sub.json"),
+            ("./target/..", "/ws/./BENCH_sub.json"),
+        ] {
+            let err = report_paths(
+                "sub",
+                root,
+                Some(Path::new(out)),
+                Some(Path::new(check)),
+                is_dir,
+            )
+            .unwrap_err();
+            assert_eq!(
+                err.matches("/ws/BENCH_sub.json").count(),
+                2,
+                "names the report and the baseline: {err}"
+            );
+        }
+        // The default directory never collides with a root baseline.
+        assert!(report_paths("sub", root, None, Some(Path::new(".")), is_dir).is_ok());
     }
 
     #[test]

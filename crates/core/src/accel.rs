@@ -1,8 +1,9 @@
 //! The QEI accelerator timing model and the five integration schemes.
 //!
 //! [`QeiAccelerator`] co-simulates queries against the shared substrate: it
-//! walks the same CFAs over the same guest bytes as the functional engine
-//! ([`crate::exec`]), but prices every micro-op on shared hardware resources:
+//! runs the one CFA walk driver ([`crate::walk()`]) with a pricing hook, so it
+//! takes the functional engine's exact steps, and prices each of them on
+//! shared hardware resources:
 //!
 //! * **QST slots** bound in-flight queries (backpressure on submit);
 //! * the **CEE issue port** processes one ready entry per cycle per instance;
@@ -23,26 +24,18 @@
 //! | Device-indirect | one, behind device interface | dedicated TLB | NoC + interface latency each access |
 //! | Core-integrated | control at the core's L2 | shared L2-TLB | L2 → LLC; compares remote in CHAs |
 
-use crate::contract;
 use crate::ctx::QueryCtx;
 use crate::dpu;
 use crate::fault::{FaultCode, QueryError};
-use crate::firmware::{FirmwareStore, STEP_LIMIT};
-use crate::header::Header;
+use crate::firmware::FirmwareStore;
 use crate::qst::QueryStateTable;
-use crate::uop::{MicroOp, OpOutcome};
+use crate::uop::MicroOp;
+use crate::walk::{walk, WalkHook};
 use qei_cache::{AccessResult, HitLevel, MemoryHierarchy};
 use qei_config::{Cycles, Log2Histogram, MachineConfig, Scheme, TlbParams};
 use qei_mem::{GuestMem, Tlb, VirtAddr};
 use qei_noc::Tile;
 use qei_trace::{qst_track, Event, EventBuf, EventKind, TRACK_ISSUE};
-
-/// Fixed cost of parsing the header and initializing a QST entry.
-const HEADER_PARSE_CYCLES: u64 = 2;
-/// Cost of enqueueing a request into the Query Queue.
-const ENQUEUE_CYCLES: u64 = 2;
-/// Pipelined extra-line cost for multi-line reads (beyond the first line).
-const EXTRA_LINE_CYCLES: u64 = 8;
 
 /// A typed query submission: the structure's header, the staged key, and —
 /// for non-blocking `QUERY_NB` — the address the result is stored to.
@@ -284,24 +277,27 @@ fn level_code(level: HitLevel) -> u64 {
     }
 }
 
-/// Where a firmware-walk step executes: the serving instance and the walk's
-/// current time. Bundled so the per-op pricing helpers stay at a readable
-/// arity.
-#[derive(Debug, Clone, Copy)]
-struct WalkPos {
-    inst: usize,
-    slot: usize,
-    t: Cycles,
-}
-
 /// One accelerator deployment for a single issuing core (the paper evaluates
 /// single-threaded benchmarks; the instance layout still follows the scheme).
 #[derive(Debug)]
 pub struct QeiAccelerator {
+    /// The installed CFAs. A walk reads them while its pricing hook mutates
+    /// `hw`, so the two are separate fields.
+    firmware: FirmwareStore,
+    hw: Hardware,
+    /// Latest non-blocking completion (drain point).
+    nb_drain: Cycles,
+    /// Pending non-blocking completions not yet polled.
+    nb_outstanding: Vec<(VirtAddr, Cycles)>,
+}
+
+/// The accelerator's timed resources and counters: everything a walk's
+/// pricing hook reads or mutates.
+#[derive(Debug)]
+struct Hardware {
     scheme: Scheme,
     config: MachineConfig,
     core_id: u32,
-    firmware: FirmwareStore,
     /// One QST per instance (per CHA for CHA-based, one for the others).
     qsts: Vec<QueryStateTable>,
     /// CEE issue-port cumulative op count per instance. The CEE processes
@@ -320,10 +316,6 @@ pub struct QeiAccelerator {
     /// Ablation switch: force comparisons to run locally in the accelerator
     /// (fetch the line, compare in the DPU) even under CHA-compare schemes.
     force_local_compare: bool,
-    /// Latest non-blocking completion (drain point).
-    nb_drain: Cycles,
-    /// Pending non-blocking completions not yet polled.
-    nb_outstanding: Vec<(VirtAddr, Cycles)>,
     stats: AccelStats,
     /// Query-lifecycle event ring (no-op unless tracing is enabled).
     trace: EventBuf,
@@ -365,31 +357,33 @@ impl QeiAccelerator {
             vec![(config.qei.comparators_per_dpu_device, 0u64)]
         };
         QeiAccelerator {
-            scheme,
-            config: config.clone(),
-            core_id,
             firmware: FirmwareStore::with_builtins(),
-            qsts: (0..instances)
-                .map(|_| QueryStateTable::new(entries_per))
-                .collect(),
-            cee_issued: vec![0; instances],
-            tlbs,
-            comparators,
-            device_data_latency: config
-                .qei
-                .device_data_latency
-                .unwrap_or(scheme.params().accel_data_latency),
-            force_local_compare: false,
+            hw: Hardware {
+                scheme,
+                config: config.clone(),
+                core_id,
+                qsts: (0..instances)
+                    .map(|_| QueryStateTable::new(entries_per))
+                    .collect(),
+                cee_issued: vec![0; instances],
+                tlbs,
+                comparators,
+                device_data_latency: config
+                    .qei
+                    .device_data_latency
+                    .unwrap_or(scheme.params().accel_data_latency),
+                force_local_compare: false,
+                stats: AccelStats::default(),
+                trace: EventBuf::new(),
+            },
             nb_drain: Cycles::ZERO,
             nb_outstanding: Vec::new(),
-            stats: AccelStats::default(),
-            trace: EventBuf::new(),
         }
     }
 
     /// The integration scheme.
     pub fn scheme(&self) -> Scheme {
-        self.scheme
+        self.hw.scheme
     }
 
     /// Replaces the firmware store (to exercise firmware updates).
@@ -400,19 +394,19 @@ impl QeiAccelerator {
     /// Overrides the Device-indirect per-access interface latency
     /// (the paper's Fig. 8 sweep: 50–2000 cycles).
     pub fn set_device_data_latency(&mut self, cycles: u64) {
-        self.device_data_latency = cycles;
+        self.hw.device_data_latency = cycles;
     }
 
     /// Ablation: disable the near-data (in-CHA) comparison path — every
     /// comparison fetches its line to the accelerator and runs in a local
     /// comparator instead. Quantifies what the distributed comparators buy.
     pub fn set_force_local_compare(&mut self, force: bool) {
-        self.force_local_compare = force;
+        self.hw.force_local_compare = force;
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> AccelStats {
-        self.stats
+        self.hw.stats
     }
 
     /// Starts a new measurement epoch: clears every busy-until clock
@@ -420,33 +414,34 @@ impl QeiAccelerator {
     /// statistics, while keeping the translation TLBs warm. Used between a
     /// warm-up pass and the measured pass.
     pub fn reset_epoch(&mut self) {
-        for q in &mut self.qsts {
+        let hw = &mut self.hw;
+        for q in &mut hw.qsts {
             q.reset();
         }
-        self.cee_issued.fill(0);
-        for pool in &mut self.comparators {
+        hw.cee_issued.fill(0);
+        for pool in &mut hw.comparators {
             pool.1 = 0;
         }
         self.nb_drain = Cycles::ZERO;
         self.nb_outstanding.clear();
-        self.stats = AccelStats::default();
-        self.trace.clear();
+        hw.stats = AccelStats::default();
+        hw.trace.clear();
     }
 
     /// Takes the buffered trace events (chronological) plus the overwrite
     /// count, leaving the buffer empty.
     pub fn drain_trace(&mut self) -> (Vec<Event>, u64) {
-        self.trace.drain()
+        self.hw.trace.drain()
     }
 
     /// QST occupancy over a window (paper: 50–90% at 10 entries).
     pub fn qst_occupancy(&self, window: Cycles) -> f64 {
-        let total: f64 = self
-            .qsts
+        let qsts = &self.hw.qsts;
+        let total: f64 = qsts
             .iter()
             .map(|q| q.stats().occupancy(q.entries(), window))
             .sum();
-        total / self.qsts.len() as f64
+        total / qsts.len() as f64
     }
 
     /// Earliest time all issued non-blocking results are in memory.
@@ -466,80 +461,75 @@ impl QeiAccelerator {
     /// returns [`QueryOutcome::Rejected`] — a full QST shows up as
     /// backpressure folded into the completion time instead.
     pub fn submit(&mut self, req: QueryRequest, ctx: SubmitCtx<'_>) -> QueryOutcome {
-        match req.result {
-            None => self.submit_blocking(req, ctx),
-            Some(result_addr) => self.submit_nonblocking(req, result_addr, ctx),
-        }
-    }
-
-    /// Blocking `QUERY_B` path.
-    fn submit_blocking(&mut self, req: QueryRequest, ctx: SubmitCtx<'_>) -> QueryOutcome {
         let SubmitCtx { now, guest, mem } = ctx;
-        let qid = self.stats.queries;
-        self.trace
-            .emit(now.as_u64(), TRACK_ISSUE, EventKind::QueryIssue, qid, 1);
-        let (done, result) = self.run_one(now, req.header, req.key, guest, mem);
-        // Result returns to the core through the Result Queue.
-        let completion = done + Cycles(self.request_latency(mem, req.header));
-        self.stats
-            .record_latency((completion - now).as_u64(), result.err());
-        self.trace.emit(
-            completion.as_u64(),
+        let hw = &mut self.hw;
+        let qid = hw.stats.queries;
+        hw.stats.queries += 1;
+        let blocking = u64::from(req.result.is_none());
+        hw.trace.emit(
+            now.as_u64(),
             TRACK_ISSUE,
-            EventKind::QueryDone,
-            result.err().map_or(0, |c| c.encode() & 0xFF),
+            EventKind::QueryIssue,
             qid,
+            blocking,
         );
-        QueryOutcome::Completed { completion, result }
-    }
-
-    /// Non-blocking `QUERY_NB` path: the instruction retires at `accept`;
-    /// the result is written to `result_addr` when the query completes.
-    fn submit_nonblocking(
-        &mut self,
-        req: QueryRequest,
-        result_addr: VirtAddr,
-        ctx: SubmitCtx<'_>,
-    ) -> QueryOutcome {
-        let SubmitCtx { now, guest, mem } = ctx;
-        let qid = self.stats.queries;
-        self.trace
-            .emit(now.as_u64(), TRACK_ISSUE, EventKind::QueryIssue, qid, 0);
-        let (done, result) = self.run_one(now, req.header, req.key, guest, mem);
-        // Write the result (or fault code) to the designated address.
-        let wire = match result {
-            Ok(v) => v.max(1), // completed-but-missing still sets a flag bit
-            Err(code) => code.encode(),
+        let mut pricing = Pricing {
+            hw,
+            guest,
+            mem,
+            req,
+            qid,
+            now,
+            inst: 0,
+            slot: 0,
+            start: None,
+            t: now,
+            staged: None,
         };
-        let _ = guest.write_u64(result_addr, wire);
-        let store_done = {
-            let pa = guest.translate(result_addr);
-            match pa {
-                Ok(pa) => {
-                    let r = self.data_access(mem, pa, true, done).latency;
-                    done + r
-                }
-                Err(_) => done,
+        let result = walk(&self.firmware, guest, req.header, req.key, &mut pricing).result;
+        let done = pricing.finish();
+        let hw = &mut self.hw;
+        if result.is_err() {
+            hw.stats.faults += 1;
+        }
+        let (done, outcome) = match req.result {
+            // The result returns to the core through the Result Queue.
+            None => {
+                let completion = done + Cycles(hw.request_latency(mem));
+                (completion, QueryOutcome::Completed { completion, result })
+            }
+            // The instruction retired once the request was enqueued (QST
+            // backpressure is folded into `done`); the result, or the fault
+            // code, is stored to `result_addr` when the query completes.
+            Some(result_addr) => {
+                let wire = match result {
+                    Ok(v) => v.max(1), // completed-but-missing still sets a flag bit
+                    Err(code) => code.encode(),
+                };
+                let _ = guest.write_u64(result_addr, wire);
+                let store_done = match guest.translate(result_addr) {
+                    Ok(pa) => done + hw.data_access(mem, pa, true, done).latency,
+                    Err(_) => done,
+                };
+                self.nb_drain = self.nb_drain.max(store_done);
+                self.nb_outstanding.push((result_addr, store_done));
+                let accept = now + Cycles(ENQUEUE_CYCLES);
+                let outcome = QueryOutcome::Accepted {
+                    accept,
+                    done: store_done,
+                };
+                (store_done, outcome)
             }
         };
-        self.nb_drain = self.nb_drain.max(store_done);
-        self.nb_outstanding.push((result_addr, store_done));
-        self.stats
-            .record_latency((store_done - now).as_u64(), result.err());
-        self.trace.emit(
-            store_done.as_u64(),
+        hw.stats.record_latency((done - now).as_u64(), result.err());
+        hw.trace.emit(
+            done.as_u64(),
             TRACK_ISSUE,
             EventKind::QueryDone,
             result.err().map_or(0, |c| c.encode() & 0xFF),
             qid,
         );
-        // Accept = request enqueued in the Query Queue; backpressure shows up
-        // when the QST was full (claim waited), which run_one folded into
-        // `done`; approximating accept as enqueue + request flight.
-        QueryOutcome::Accepted {
-            accept: now + Cycles(ENQUEUE_CYCLES),
-            done: store_done,
-        }
+        outcome
     }
 
     /// Flushes the accelerator (interrupt/context switch, §IV-D). Abort codes
@@ -548,7 +538,7 @@ impl QeiAccelerator {
     /// the interrupt handler before this).
     pub fn flush(&mut self, now: Cycles, guest: &mut GuestMem) -> Cycles {
         let mut aborted_nb = 0u32;
-        for q in &mut self.qsts {
+        for q in &mut self.hw.qsts {
             q.flush(now);
         }
         let pending: Vec<(VirtAddr, Cycles)> = self
@@ -560,7 +550,7 @@ impl QeiAccelerator {
             let _ = guest.write_u64(*addr, FaultCode::Aborted.encode());
             aborted_nb += 1;
         }
-        self.stats.nb_aborts += aborted_nb as u64;
+        self.hw.stats.nb_aborts += aborted_nb as u64;
         // Coalesced non-temporal stores: ~1 store per cacheline of results,
         // after address translation (already translated at submit).
         let lines = aborted_nb
@@ -570,157 +560,9 @@ impl QeiAccelerator {
         self.nb_drain = flush_done;
         flush_done
     }
+}
 
-    // ------------------------------------------------------------------
-    // The per-query timing walk
-    // ------------------------------------------------------------------
-
-    fn run_one(
-        &mut self,
-        now: Cycles,
-        header_addr: VirtAddr,
-        key_addr: VirtAddr,
-        guest: &mut GuestMem,
-        mem: &mut MemoryHierarchy,
-    ) -> (Cycles, Result<u64, FaultCode>) {
-        let qid = self.stats.queries;
-        self.stats.queries += 1;
-
-        // Functional header fetch to learn the instance placement.
-        let header = match Header::read_from(guest, header_addr) {
-            Ok(h) if h.stale() => {
-                // Seqlock epoch gate (mutation in flight): fault before any
-                // structure bytes are walked, mirroring `exec::run_query`.
-                self.stats.faults += 1;
-                return (
-                    now + Cycles(self.request_latency(mem, header_addr)),
-                    Err(FaultCode::StaleStructure),
-                );
-            }
-            Ok(h) => h,
-            Err(code) => {
-                self.stats.faults += 1;
-                return (
-                    now + Cycles(self.request_latency(mem, header_addr)),
-                    Err(code),
-                );
-            }
-        };
-
-        let inst = self.instance_of(mem, guest, key_addr);
-
-        // Request flight + QST claim (backpressure if full).
-        let arrive = now + Cycles(ENQUEUE_CYCLES + self.request_latency(mem, header_addr));
-        let (start, slot) = self.qsts[inst].claim(arrive);
-        let track = qst_track(inst, slot);
-        self.trace
-            .emit(start.as_u64(), track, EventKind::QstClaim, qid, slot as u64);
-        let mut t = start;
-
-        // Header fetch + parse (one line).
-        t = t + self.mem_op(
-            mem,
-            guest,
-            WalkPos { inst, slot, t },
-            header_addr,
-            64,
-            false,
-        );
-        t += Cycles(HEADER_PARSE_CYCLES);
-
-        // Key fetch (MEM.K).
-        let key = match guest.read_vec(key_addr, header.key_len as usize) {
-            Ok(k) => k,
-            Err(e) => {
-                self.stats.faults += 1;
-                self.qsts[inst].complete(slot, start, t);
-                self.trace
-                    .emit(t.as_u64(), track, EventKind::QstRelease, qid, slot as u64);
-                return (t, Err(FaultCode::from(e)));
-            }
-        };
-        t = t + self.mem_op(
-            mem,
-            guest,
-            WalkPos { inst, slot, t },
-            key_addr,
-            header.key_len as u32,
-            false,
-        );
-
-        let program = match self.firmware.lookup(header.dtype.to_byte(), header.subtype) {
-            Some(p) => p.clone(),
-            None => {
-                self.stats.faults += 1;
-                self.qsts[inst].complete(slot, start, t);
-                self.trace
-                    .emit(t.as_u64(), track, EventKind::QstRelease, qid, slot as u64);
-                return (t, Err(FaultCode::UnknownType));
-            }
-        };
-
-        let mut ctx = QueryCtx::new(header, key);
-        let mut outcome = OpOutcome::Start;
-        // The staged intermediate data: when a Compare targets bytes inside
-        // the most recently fetched region, the comparison runs locally in
-        // the DPU on the staged line instead of as a remote micro-op
-        // (paper §V-A: "a small key comparison can be done in one of the
-        // DPUs if the key is part of the fetched cacheline").
-        let mut staged: Option<(u64, u64)> = None;
-        let result = loop {
-            // CEE issue port: one ready entry processed per cycle. The
-            // cumulative op count is a lower bound on this op's issue time.
-            t = t.max(Cycles(self.cee_issued[inst])) + Cycles(1);
-            self.cee_issued[inst] += 1;
-
-            let op = program.step(&mut ctx, outcome);
-            match op {
-                MicroOp::Done { result } => {
-                    contract::check_completed(&ctx);
-                    break Ok(result);
-                }
-                MicroOp::Fault { code } => break Err(code),
-                other => {
-                    if ctx.steps >= STEP_LIMIT {
-                        break Err(FaultCode::StepLimit);
-                    }
-                    let class = match other {
-                        MicroOp::Read { .. } => 0,
-                        MicroOp::Compare { .. } => 1,
-                        MicroOp::Hash { .. } => 2,
-                        _ => 3,
-                    };
-                    self.trace
-                        .emit(t.as_u64(), track, EventKind::UopIssue, class, qid);
-                    // Price the op, then execute it functionally.
-                    t = t + self.price_op(
-                        mem,
-                        guest,
-                        WalkPos { inst, slot, t },
-                        &ctx,
-                        other,
-                        staged,
-                    );
-                    if let MicroOp::Read { addr, len } = other {
-                        staged = Some((addr.0, addr.0 + len as u64));
-                    }
-                    match dpu::execute(guest, &mut ctx, other) {
-                        Ok(o) => outcome = o,
-                        Err(code) => break Err(code),
-                    }
-                }
-            }
-        };
-
-        if result.is_err() {
-            self.stats.faults += 1;
-        }
-        self.qsts[inst].complete(slot, start, t);
-        self.trace
-            .emit(t.as_u64(), track, EventKind::QstRelease, qid, slot as u64);
-        (t, result)
-    }
-
+impl Hardware {
     /// Which instance serves a query. CHA-based schemes distribute requests
     /// across the CHAs with the NUCA hash (HALO-style); we key it on the
     /// query key's line, which is what spreads lookups into one shared
@@ -736,66 +578,27 @@ impl QeiAccelerator {
     }
 
     /// One-way core ↔ accelerator request latency for this scheme.
-    fn request_latency(&self, mem: &mut MemoryHierarchy, _header_addr: VirtAddr) -> u64 {
+    fn request_latency(&self, mem: &MemoryHierarchy) -> u64 {
         let base = match self.scheme {
-            // Core-integrated: the Query Queue lives beside the L2.
-            Scheme::CoreIntegrated => self.scheme.params().core_accel_latency,
-            // CHA-based: distance from the issuing core to the serving CHA;
-            // Table I's 40–60 cycle midpoint covers the mesh traversal.
-            Scheme::ChaTlb | Scheme::ChaNoTlb => self.scheme.params().core_accel_latency,
             // Device-direct: real mesh hops to the device stop plus the
             // heterogeneous-core interface machinery.
             Scheme::DeviceDirect => {
-                let dev = mem.noc().device_tile();
-                let hops = mem.noc().hops(Tile(self.core_id), dev) as u64;
+                let hops = mem.noc().hops(Tile(self.core_id), mem.noc().device_tile()) as u64;
                 hops * self.config.noc_hop_latency + 60
             }
-            // Device-indirect: the standard device interface dominates.
-            Scheme::DeviceIndirect => self.scheme.params().core_accel_latency,
+            // Core-integrated: the Query Queue lives beside the L2.
+            // CHA-based: Table I's 40–60 cycle midpoint covers the mesh
+            // traversal to the serving CHA. Device-indirect: the standard
+            // device interface dominates.
+            Scheme::CoreIntegrated | Scheme::ChaTlb | Scheme::ChaNoTlb | Scheme::DeviceIndirect => {
+                self.scheme.params().core_accel_latency
+            }
         };
         base.max(self.config.l2.latency)
     }
 
-    /// Prices a micro-op without executing it functionally.
-    fn price_op(
-        &mut self,
-        mem: &mut MemoryHierarchy,
-        guest: &GuestMem,
-        pos: WalkPos,
-        ctx: &QueryCtx,
-        op: MicroOp,
-        staged: Option<(u64, u64)>,
-    ) -> Cycles {
-        match op {
-            MicroOp::Read { addr, len } => self.mem_op(mem, guest, pos, addr, len, false),
-            MicroOp::Compare { addr, len, .. } => {
-                let inline = staged.is_some_and(|(s, e)| addr.0 >= s && addr.0 + len as u64 <= e);
-                self.compare_op(mem, guest, pos, addr, len, inline)
-            }
-            MicroOp::Hash { .. } => {
-                self.stats.hashes += 1;
-                // Hash unit latency scales with key length (8 B per cycle
-                // through the pipeline) plus the fixed pipeline depth.
-                let chunks = (ctx.key.len() as u64).div_ceil(8);
-                Cycles(self.config.qei.hash_latency + chunks)
-            }
-            MicroOp::Alu { n } => {
-                self.stats.alu_ops += n as u64;
-                // `alus_per_dpu` ALU ops complete per cycle.
-                Cycles((n as u64).div_ceil(self.config.qei.alus_per_dpu as u64))
-            }
-            MicroOp::Done { .. } | MicroOp::Fault { .. } => Cycles::ZERO,
-        }
-    }
-
     /// Translation latency on the accelerator path for this scheme.
-    fn translate(
-        &mut self,
-        mem: &mut MemoryHierarchy,
-        inst: usize,
-        addr: VirtAddr,
-        _now: u64,
-    ) -> u64 {
+    fn translate(&mut self, mem: &MemoryHierarchy, inst: usize, addr: VirtAddr) -> u64 {
         self.stats.tlb_lookups += 1;
         match self.scheme {
             Scheme::ChaNoTlb => {
@@ -862,103 +665,6 @@ impl QeiAccelerator {
         }
     }
 
-    /// A memory micro-op: translation + line fetch(es).
-    fn mem_op(
-        &mut self,
-        mem: &mut MemoryHierarchy,
-        guest: &GuestMem,
-        pos: WalkPos,
-        addr: VirtAddr,
-        len: u32,
-        write: bool,
-    ) -> Cycles {
-        let WalkPos { inst, slot, t } = pos;
-        self.stats.mem_ops += 1;
-        let lines = MicroOp::Read { addr, len }.lines_touched().max(1);
-        self.stats.lines_fetched += lines as u64;
-        let tlb = self.translate(mem, inst, addr, t.as_u64());
-        let pa = match guest.translate(addr) {
-            Ok(pa) => pa,
-            Err(_) => {
-                // The fault will surface in the functional step; charge the
-                // walk that discovered it.
-                return Cycles(tlb + self.config.page_walk_latency);
-            }
-        };
-        let first = self.data_access(mem, pa, write, t + Cycles(tlb));
-        self.trace.emit(
-            t.as_u64(),
-            qst_track(inst, slot),
-            EventKind::MemAccess,
-            level_code(first.level),
-            lines as u64,
-        );
-        // Subsequent lines pipeline behind the first.
-        Cycles(tlb) + first.latency + Cycles((lines as u64 - 1) * EXTRA_LINE_CYCLES)
-    }
-
-    /// A comparison micro-op. `inline` compares run on the staged line in a
-    /// local DPU comparator; others are remote micro-ops to the home CHA.
-    fn compare_op(
-        &mut self,
-        mem: &mut MemoryHierarchy,
-        guest: &GuestMem,
-        pos: WalkPos,
-        addr: VirtAddr,
-        len: u32,
-        inline: bool,
-    ) -> Cycles {
-        let WalkPos { inst, slot: _, t } = pos;
-        self.stats.compares += 1;
-        self.stats.compare_bytes += len as u64;
-        if inline {
-            // Already staged: no translation, no data movement. The local
-            // comparator pool is per instance; contention is negligible at
-            // one compare per staged line, so charge the compare itself.
-            return Cycles(
-                (len as u64).div_ceil(self.config.qei.comparator_bytes_per_cycle as u64),
-            );
-        }
-        let tlb = self.translate(mem, inst, addr, t.as_u64());
-        let pa = match guest.translate(addr) {
-            Ok(pa) => pa,
-            Err(_) => return Cycles(tlb + self.config.page_walk_latency),
-        };
-        let cmp_cycles = (len as u64).div_ceil(self.config.qei.comparator_bytes_per_cycle as u64);
-        let after_tlb = t + Cycles(tlb);
-
-        if self.scheme.comparators_in_cha() && !self.force_local_compare {
-            // Remote micro-op: travel to the home CHA, read the line there,
-            // run on one of its comparators, return the verdict.
-            let home = mem.home_slice(pa) as usize;
-            let origin = match self.scheme {
-                Scheme::CoreIntegrated => Tile(self.core_id),
-                _ => Tile(inst as u32),
-            };
-            let mut travel = Cycles::ZERO;
-            if origin != Tile(home as u32) {
-                self.stats.remote_compares += 1;
-                // Request there + verdict back (16 B messages).
-                travel += mem
-                    .noc_mut()
-                    .transfer(origin, Tile(home as u32), 16, after_tlb.as_u64());
-                travel += mem
-                    .noc_mut()
-                    .transfer(Tile(home as u32), origin, 16, after_tlb.as_u64());
-            }
-            let data = mem
-                .access_cha(home as u32, pa, false, after_tlb.as_u64())
-                .latency;
-            let queue = self.comparator_queue(home, cmp_cycles, after_tlb + data);
-            (after_tlb + data + queue + Cycles(cmp_cycles) + travel) - t
-        } else {
-            // Device: fetch the line to the device, compare locally.
-            let data = self.data_access(mem, pa, false, after_tlb).latency;
-            let queue = self.comparator_queue(0, cmp_cycles, after_tlb + data);
-            (after_tlb + data + queue + Cycles(cmp_cycles)) - t
-        }
-    }
-
     /// Throughput-based comparator queueing: the pool's cumulative busy time
     /// divided by its width bounds when a new comparison can begin.
     fn comparator_queue(&mut self, pool: usize, cmp_cycles: u64, ready: Cycles) -> Cycles {
@@ -969,11 +675,210 @@ impl QeiAccelerator {
     }
 }
 
+/// Fixed cost of parsing the header and initializing a QST entry.
+pub const HEADER_PARSE_CYCLES: u64 = 2;
+/// Cost of enqueueing a request into the Query Queue.
+pub const ENQUEUE_CYCLES: u64 = 2;
+/// Pipelined extra-line cost for multi-line reads (beyond the first line).
+pub const EXTRA_LINE_CYCLES: u64 = 8;
+
+/// The timing model's [`WalkHook`]: claims a QST slot when the header is
+/// admitted, keeps the walk's clock, and prices each fetch and micro-op on
+/// the shared substrate as the walk issues it.
+struct Pricing<'a> {
+    hw: &'a mut Hardware,
+    guest: &'a GuestMem,
+    mem: &'a mut MemoryHierarchy,
+    req: QueryRequest,
+    qid: u64,
+    /// Cycle at which the core dispatched the query.
+    now: Cycles,
+    /// The serving instance and the QST slot claimed in it.
+    inst: usize,
+    slot: usize,
+    /// When the slot was claimed; `None` until the header is admitted.
+    start: Option<Cycles>,
+    /// The walk's clock.
+    t: Cycles,
+    /// The staged intermediate data `[start, end)`: when a Compare targets
+    /// bytes inside the most recently fetched region, the comparison runs
+    /// locally in the DPU on the staged line instead of as a remote
+    /// micro-op (paper §V-A: "a small key comparison can be done in one of
+    /// the DPUs if the key is part of the fetched cacheline").
+    staged: Option<(u64, u64)>,
+}
+
+impl WalkHook for Pricing<'_> {
+    fn admitted(&mut self) {
+        self.inst = self.hw.instance_of(self.mem, self.guest, self.req.key);
+        // Request flight + QST claim (backpressure if full).
+        let arrive = self.now + Cycles(ENQUEUE_CYCLES + self.hw.request_latency(self.mem));
+        let (start, slot) = self.hw.qsts[self.inst].claim(arrive);
+        self.hw.trace.emit(
+            start.as_u64(),
+            qst_track(self.inst, slot),
+            EventKind::QstClaim,
+            self.qid,
+            slot as u64,
+        );
+        self.slot = slot;
+        self.start = Some(start);
+        self.t = start;
+        // Header fetch + parse (one line).
+        let fetch = self.mem_op(self.req.header, 64);
+        self.t += fetch + Cycles(HEADER_PARSE_CYCLES);
+    }
+
+    fn key_fetched(&mut self, key: &[u8]) {
+        let fetch = self.mem_op(self.req.key, key.len() as u32);
+        self.t += fetch;
+    }
+
+    fn before_step(&mut self) {
+        // CEE issue port: one ready entry processed per cycle. The
+        // cumulative op count is a lower bound on this op's issue time.
+        let issued = &mut self.hw.cee_issued[self.inst];
+        self.t = self.t.max(Cycles(*issued)) + Cycles(1);
+        *issued += 1;
+    }
+
+    fn before_op(&mut self, ctx: &QueryCtx, op: MicroOp) {
+        let class = match op {
+            MicroOp::Read { .. } => 0,
+            MicroOp::Compare { .. } => 1,
+            MicroOp::Hash { .. } => 2,
+            _ => 3,
+        };
+        let track = qst_track(self.inst, self.slot);
+        self.hw
+            .trace
+            .emit(self.t.as_u64(), track, EventKind::UopIssue, class, self.qid);
+        let cost = match op {
+            MicroOp::Read { addr, len } => {
+                let cost = self.mem_op(addr, len);
+                self.staged = Some((addr.0, addr.0.saturating_add(len as u64)));
+                cost
+            }
+            MicroOp::Compare { addr, len, .. } => {
+                let end = addr.0.saturating_add(len as u64);
+                let inline = self.staged.is_some_and(|(s, e)| addr.0 >= s && end <= e);
+                self.compare_op(addr, len, inline)
+            }
+            MicroOp::Hash { .. } => {
+                self.hw.stats.hashes += 1;
+                // Hash unit latency scales with key length (8 B per cycle
+                // through the pipeline) plus the fixed pipeline depth.
+                let chunks = (ctx.key.len() as u64).div_ceil(8);
+                Cycles(self.hw.config.qei.hash_latency + chunks)
+            }
+            MicroOp::Alu { n } => {
+                self.hw.stats.alu_ops += n as u64;
+                // `alus_per_dpu` ALU ops complete per cycle.
+                Cycles((n as u64).div_ceil(self.hw.config.qei.alus_per_dpu as u64))
+            }
+            MicroOp::Done { .. } | MicroOp::Fault { .. } => Cycles::ZERO,
+        };
+        self.t += cost;
+    }
+}
+
+impl Pricing<'_> {
+    /// Releases the QST slot and returns when the walk finished. A header
+    /// that failed the gate claimed no slot: it completes after one request
+    /// flight.
+    fn finish(self) -> Cycles {
+        let Some(start) = self.start else {
+            return self.now + Cycles(self.hw.request_latency(self.mem));
+        };
+        self.hw.qsts[self.inst].complete(self.slot, start, self.t);
+        self.hw.trace.emit(
+            self.t.as_u64(),
+            qst_track(self.inst, self.slot),
+            EventKind::QstRelease,
+            self.qid,
+            self.slot as u64,
+        );
+        self.t
+    }
+
+    /// A memory fetch: translation + line fetch(es).
+    fn mem_op(&mut self, addr: VirtAddr, len: u32) -> Cycles {
+        let (t, inst) = (self.t, self.inst);
+        let hw = &mut *self.hw;
+        hw.stats.mem_ops += 1;
+        let lines = dpu::span_lines(addr.0, len).max(1);
+        hw.stats.lines_fetched += lines;
+        let tlb = hw.translate(self.mem, inst, addr);
+        let Ok(pa) = self.guest.translate(addr) else {
+            // The fault will surface in the functional step; charge the
+            // walk that discovered it.
+            return Cycles(tlb + hw.config.page_walk_latency);
+        };
+        let first = hw.data_access(self.mem, pa, false, t + Cycles(tlb));
+        hw.trace.emit(
+            t.as_u64(),
+            qst_track(inst, self.slot),
+            EventKind::MemAccess,
+            level_code(first.level),
+            lines,
+        );
+        // Subsequent lines pipeline behind the first.
+        Cycles(tlb) + first.latency + Cycles((lines - 1) * EXTRA_LINE_CYCLES)
+    }
+
+    /// A comparison micro-op. `inline` compares run on the staged line in a
+    /// local DPU comparator; others are remote micro-ops to the home CHA.
+    fn compare_op(&mut self, addr: VirtAddr, len: u32, inline: bool) -> Cycles {
+        let (t, inst) = (self.t, self.inst);
+        let (hw, mem) = (&mut *self.hw, &mut *self.mem);
+        hw.stats.compares += 1;
+        hw.stats.compare_bytes += len as u64;
+        let cmp_cycles = (len as u64).div_ceil(hw.config.qei.comparator_bytes_per_cycle as u64);
+        if inline {
+            // Already staged: no translation, no data movement. The local
+            // comparator pool is per instance; contention is negligible at
+            // one compare per staged line, so charge the compare itself.
+            return Cycles(cmp_cycles);
+        }
+        let tlb = hw.translate(mem, inst, addr);
+        let Ok(pa) = self.guest.translate(addr) else {
+            return Cycles(tlb + hw.config.page_walk_latency);
+        };
+        let after_tlb = t + Cycles(tlb);
+
+        if hw.scheme.comparators_in_cha() && !hw.force_local_compare {
+            // Remote micro-op: travel to the home CHA, read the line there,
+            // run on one of its comparators, return the verdict.
+            let home = mem.home_slice(pa);
+            let origin = match hw.scheme {
+                Scheme::CoreIntegrated => Tile(hw.core_id),
+                _ => Tile(inst as u32),
+            };
+            let mut travel = Cycles::ZERO;
+            if origin != Tile(home) {
+                hw.stats.remote_compares += 1;
+                // Request there + verdict back (16 B messages).
+                let at = after_tlb.as_u64();
+                travel += mem.noc_mut().transfer(origin, Tile(home), 16, at);
+                travel += mem.noc_mut().transfer(Tile(home), origin, 16, at);
+            }
+            let data = mem.access_cha(home, pa, false, after_tlb.as_u64()).latency;
+            let queue = hw.comparator_queue(home as usize, cmp_cycles, after_tlb + data);
+            (after_tlb + data + queue + Cycles(cmp_cycles) + travel) - t
+        } else {
+            // Device: fetch the line to the device, compare locally.
+            let data = hw.data_access(mem, pa, false, after_tlb).latency;
+            let queue = hw.comparator_queue(0, cmp_cycles, after_tlb + data);
+            (after_tlb + data + queue + Cycles(cmp_cycles)) - t
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::run_query;
-    use crate::header::{DsType, HEADER_BYTES};
+    use crate::header::{DsType, Header, HEADER_BYTES};
+    use crate::walk::run_query;
 
     /// Builds a linked list of `n` nodes with 8-byte keys k0..k(n-1).
     fn build_list(mem: &mut GuestMem, n: u64) -> VirtAddr {

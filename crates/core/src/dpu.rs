@@ -93,7 +93,7 @@ pub fn execute(mem: &GuestMem, ctx: &mut QueryCtx, op: MicroOp) -> Result<OpOutc
 /// operands a fuzzed header can produce (`len == 0`, spans wrapping the
 /// address space) — the fetch itself faults on those, but the counter
 /// update runs first and must not trip overflow checks.
-fn span_lines(addr: u64, len: u32) -> u64 {
+pub(crate) fn span_lines(addr: u64, len: u32) -> u64 {
     if len == 0 {
         return 0;
     }
@@ -222,6 +222,21 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, FaultCode::NullPointer);
+    }
+
+    #[test]
+    fn span_lines_counts_touched_lines_and_saturates() {
+        // 8 bytes fully inside one line.
+        assert_eq!(span_lines(0x40, 8), 1);
+        // 64 bytes starting mid-line straddles two.
+        assert_eq!(span_lines(0x20, 64), 2);
+        // 1 KB key = 16 lines when aligned.
+        assert_eq!(span_lines(0x1000, 1024), 16);
+        assert_eq!(span_lines(0x40, 0), 0);
+        // Spans running off the top of the address space stop at its last
+        // line instead of wrapping.
+        assert_eq!(span_lines(u64::MAX - 15, 24), 1);
+        assert_eq!(span_lines(u64::MAX - 70, 100), 2);
     }
 
     #[test]

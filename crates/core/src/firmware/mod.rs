@@ -4,8 +4,8 @@
 //! A [`CfaProgram`] is the microcode for one (type, subtype) pair. It is a
 //! pure state-transition function: given the query context and the outcome of
 //! the last micro-op, it updates the context and emits the next micro-op.
-//! The engine (functional driver in [`crate::exec`], timing driver in
-//! [`crate::accel`]) owns the loop.
+//! The one walk driver, [`crate::walk()`], owns the loop for both the
+//! functional engine and the timing model.
 //!
 //! The CEE is a *microcoded control machine* (paper §IV-B): new programs can
 //! be installed at runtime through [`FirmwareStore::register`], modelling the
@@ -36,7 +36,8 @@ use std::sync::Arc;
 
 /// Shared CFA state-byte conventions. Programs may define more states (up to
 /// 256, the width of the QST `state` field), but every program starts in
-/// [`STATE_START`] and the drivers recognize the two terminal values.
+/// [`STATE_START`]; [`STATE_DONE`] and [`STATE_EXCEPTION`] are the terminal
+/// values.
 pub const STATE_START: u8 = 0;
 /// The query finished and its result is staged.
 pub const STATE_DONE: u8 = 254;

@@ -20,32 +20,34 @@
 //! store; the result is written to a software-supplied address). Software
 //! describes each queried structure with a 64-byte in-memory [`header`].
 //!
-//! [`accel::QeiAccelerator`] is the timing model: it walks the same CFAs over
-//! the same guest bytes as the functional engine, pricing every micro-op
-//! against the cache/NoC/TLB substrate under one of the five
-//! [`qei_config::Scheme`] integration schemes.
+//! One driver, [`walk::walk`], runs every query's CFA; a [`walk::WalkHook`]
+//! observes it. The functional engine, [`run_query`], is the no-op hook.
+//! [`accel::QeiAccelerator`] is the timing model: a pricing hook on the same
+//! walk that prices every micro-op against the cache/NoC/TLB substrate under
+//! one of the five [`qei_config::Scheme`] integration schemes. The two
+//! therefore agree step for step by construction.
 
 #![forbid(unsafe_code)]
 pub mod accel;
 pub mod contract;
 pub mod ctx;
 pub mod dpu;
-pub mod exec;
 pub mod fault;
 pub mod firmware;
 pub mod header;
 pub mod qst;
 pub mod uop;
+pub mod walk;
 
 pub use accel::{AccelStats, QeiAccelerator, QueryOutcome, QueryRequest, SubmitCtx};
 pub use contract::QueryCost;
 pub use ctx::QueryCtx;
-pub use exec::{run_query, run_query_counted};
 pub use fault::{FaultCode, QueryError};
 pub use firmware::{CfaProgram, FirmwareStore};
 pub use header::{bump_epoch, read_epoch, DsType, Header, HEADER_BYTES, HEADER_EPOCH_OFF};
 pub use qst::QueryStateTable;
 pub use uop::{MicroOp, OpOutcome};
+pub use walk::{run_query, walk, Walk, WalkHook};
 
 /// Result encoding: a query that finds no match returns this value.
 pub const RESULT_NOT_FOUND: u64 = 0;

@@ -95,23 +95,6 @@ impl MicroOp {
             _ => None,
         }
     }
-
-    /// Number of 64-byte lines a `Read` touches (0 for other ops).
-    pub fn lines_touched(&self) -> u32 {
-        match self {
-            MicroOp::Read { addr, len } => {
-                let start = addr.0 >> 6;
-                let end = (addr.0 + *len as u64 - 1) >> 6;
-                (end - start + 1) as u32
-            }
-            MicroOp::Compare { addr, len, .. } => {
-                let start = addr.0 >> 6;
-                let end = (addr.0 + *len as u64 - 1) >> 6;
-                (end - start + 1) as u32
-            }
-            _ => 0,
-        }
-    }
 }
 
 /// The outcome of an executed micro-op, delivered to the CFA's next step.
@@ -143,38 +126,6 @@ mod tests {
         .is_terminal());
         assert!(!MicroOp::Alu { n: 1 }.is_terminal());
         assert!(!MicroOp::Hash { seed: 0 }.is_terminal());
-    }
-
-    #[test]
-    fn line_counting() {
-        // 8 bytes fully inside one line.
-        assert_eq!(
-            MicroOp::Read {
-                addr: VirtAddr(0x40),
-                len: 8
-            }
-            .lines_touched(),
-            1
-        );
-        // 64 bytes starting mid-line straddles two.
-        assert_eq!(
-            MicroOp::Read {
-                addr: VirtAddr(0x20),
-                len: 64
-            }
-            .lines_touched(),
-            2
-        );
-        // 1 KB key = 16 lines when aligned.
-        assert_eq!(
-            MicroOp::Read {
-                addr: VirtAddr(0x1000),
-                len: 1024
-            }
-            .lines_touched(),
-            16
-        );
-        assert_eq!(MicroOp::Alu { n: 3 }.lines_touched(), 0);
     }
 
     #[test]

@@ -1,19 +1,114 @@
-//! Functional query execution: runs a CFA against guest memory with no
-//! timing. This is the accelerator's architectural semantics — the timing
-//! model in [`crate::accel`] walks the same steps and must produce the same
-//! answer (the repo's central property test).
+//! The one CFA walk driver. A query is one walk: read the header, gate an
+//! odd (mid-mutation) epoch, fetch the key, look up the structure's CFA,
+//! then loop `step` → watchdog → [`dpu::execute`] until a terminal op.
+//! [`walk`] owns that sequence; a [`WalkHook`] observes it. The functional
+//! engine ([`run_query`]) is the no-op hook `()`, and the timing model in
+//! [`crate::accel`] is a pricing hook — so the timed walk takes exactly the
+//! steps, and returns exactly the answer, of the functional one.
 
 use crate::contract::{self, QueryCost};
 use crate::ctx::QueryCtx;
 use crate::dpu;
 use crate::fault::FaultCode;
-use crate::firmware::{FirmwareStore, STATE_EXCEPTION, STEP_LIMIT};
+use crate::firmware::{FirmwareStore, STEP_LIMIT};
 use crate::header::Header;
 use crate::uop::{MicroOp, OpOutcome};
 use qei_mem::{GuestMem, VirtAddr};
 
-/// Executes one query: reads the header at `header_addr`, fetches the key at
-/// `key_addr`, runs the structure's CFA, and returns the result value
+/// Observer of one [`walk`], called in walk order. Every method defaults to
+/// doing nothing.
+pub trait WalkHook {
+    /// The header was read and passed the epoch gate; the key fetch is next.
+    fn admitted(&mut self) {}
+    /// The key was fetched (`key.len()` is the header's `key_len`).
+    fn key_fetched(&mut self, _key: &[u8]) {}
+    /// The CEE is about to take a step (terminal steps included).
+    fn before_step(&mut self) {}
+    /// A non-terminal micro-op passed the watchdog and is about to execute.
+    fn before_op(&mut self, _ctx: &QueryCtx, _op: MicroOp) {}
+}
+
+/// The functional engine: no timing, nothing observed.
+impl WalkHook for () {}
+
+/// What one walk produced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Walk {
+    /// The result value (0 = not found) or the delivered exception.
+    pub result: Result<u64, FaultCode>,
+    /// Resource counters the executed micro-ops accumulated (zero when the
+    /// walk faulted before its first step).
+    pub cost: QueryCost,
+    /// Micro-ops executed.
+    pub steps: u64,
+}
+
+/// Walks one query: reads the header at `header_addr`, fetches the key at
+/// `key_addr`, and runs the structure's CFA to a terminal op, calling `hook`
+/// at each stage. Successful completions are debug-asserted against the
+/// installed cost contract.
+pub fn walk<H: WalkHook>(
+    firmware: &FirmwareStore,
+    mem: &GuestMem,
+    header_addr: VirtAddr,
+    key_addr: VirtAddr,
+    hook: &mut H,
+) -> Walk {
+    let fault = |code| Walk {
+        result: Err(code),
+        cost: QueryCost::default(),
+        steps: 0,
+    };
+    let header = match Header::read_from(mem, header_addr) {
+        Ok(h) => h,
+        Err(code) => return fault(code),
+    };
+    // Seqlock epoch gate: an odd epoch means a mutator is mid-update, so
+    // dispatching the CFA would read torn structure bytes. Fault
+    // deterministically instead.
+    if header.stale() {
+        return fault(FaultCode::StaleStructure);
+    }
+    hook.admitted();
+    let key = match mem.read_vec(key_addr, header.key_len as usize) {
+        Ok(k) => k,
+        Err(e) => return fault(FaultCode::from(e)),
+    };
+    hook.key_fetched(&key);
+    let Some(program) = firmware.lookup(header.dtype.to_byte(), header.subtype) else {
+        return fault(FaultCode::UnknownType);
+    };
+
+    let mut ctx = QueryCtx::new(header, key);
+    let mut outcome = OpOutcome::Start;
+    let result = loop {
+        hook.before_step();
+        match program.step(&mut ctx, outcome) {
+            MicroOp::Done { result } => {
+                contract::check_completed(&ctx);
+                break Ok(result);
+            }
+            MicroOp::Fault { code } => break Err(code),
+            op => {
+                if ctx.steps >= STEP_LIMIT {
+                    break Err(FaultCode::StepLimit);
+                }
+                hook.before_op(&ctx, op);
+                match dpu::execute(mem, &mut ctx, op) {
+                    Ok(o) => outcome = o,
+                    Err(code) => break Err(code),
+                }
+            }
+        }
+    };
+    Walk {
+        result,
+        cost: ctx.cost,
+        steps: ctx.steps,
+    }
+}
+
+/// Executes one query functionally (no timing) and returns the result value
 /// (0 = not found).
 ///
 /// # Errors
@@ -26,67 +121,7 @@ pub fn run_query(
     header_addr: VirtAddr,
     key_addr: VirtAddr,
 ) -> Result<u64, FaultCode> {
-    run_query_counted(firmware, mem, header_addr, key_addr).0
-}
-
-/// [`run_query`], additionally returning the observed resource counters and
-/// the number of micro-ops executed. The counters feed the cost-contract
-/// soundness tests; `run_query` itself already debug-asserts them against
-/// the installed contract on successful completion.
-pub fn run_query_counted(
-    firmware: &FirmwareStore,
-    mem: &GuestMem,
-    header_addr: VirtAddr,
-    key_addr: VirtAddr,
-) -> (Result<u64, FaultCode>, QueryCost, u64) {
-    let header = match Header::read_from(mem, header_addr) {
-        Ok(h) => h,
-        Err(code) => return (Err(code), QueryCost::default(), 0),
-    };
-    // Seqlock epoch gate: an odd epoch means a mutator is mid-update, so
-    // dispatching the CFA would read torn structure bytes. Fault
-    // deterministically instead.
-    if header.stale() {
-        return (Err(FaultCode::StaleStructure), QueryCost::default(), 0);
-    }
-    let key = match mem.read_vec(key_addr, header.key_len as usize) {
-        Ok(k) => k,
-        Err(e) => return (Err(FaultCode::from(e)), QueryCost::default(), 0),
-    };
-    let Some(program) = firmware.lookup(header.dtype.to_byte(), header.subtype) else {
-        return (Err(FaultCode::UnknownType), QueryCost::default(), 0);
-    };
-    let program = program.clone();
-
-    let mut ctx = QueryCtx::new(header, key);
-    let mut outcome = OpOutcome::Start;
-    let result = loop {
-        let op = program.step(&mut ctx, outcome);
-        match op {
-            MicroOp::Done { result } => {
-                contract::check_completed(&ctx);
-                break Ok(result);
-            }
-            MicroOp::Fault { code } => {
-                ctx.state = STATE_EXCEPTION;
-                break Err(code);
-            }
-            other => {
-                if ctx.steps >= STEP_LIMIT {
-                    ctx.state = STATE_EXCEPTION;
-                    break Err(FaultCode::StepLimit);
-                }
-                match dpu::execute(mem, &mut ctx, other) {
-                    Ok(o) => outcome = o,
-                    Err(code) => {
-                        ctx.state = STATE_EXCEPTION;
-                        break Err(code);
-                    }
-                }
-            }
-        }
-    };
-    (result, ctx.cost, ctx.steps)
+    walk(firmware, mem, header_addr, key_addr, &mut ()).result
 }
 
 #[cfg(test)]

@@ -33,6 +33,7 @@
 use crate::explore::{self, ConfigEnd};
 use crate::model::StructureModel;
 use qei_config::{CostContract, MachineConfig};
+use qei_core::accel::{ENQUEUE_CYCLES, EXTRA_LINE_CYCLES, HEADER_PARSE_CYCLES};
 use qei_core::firmware::{CfaProgram, STEP_LIMIT};
 use qei_core::{Header, MicroOp};
 
@@ -160,13 +161,6 @@ fn mesh_round_trip(machine: &MachineConfig) -> u64 {
     let hops = (machine.mesh_width as u64 - 1) + (machine.mesh_height() as u64 - 1);
     2 * hops * machine.noc_hop_latency
 }
-
-/// Extra pipelined-line cycles, matching the accelerator's pricing.
-const EXTRA_LINE_CYCLES: u64 = 8;
-/// Header-parse latency after the header line arrives.
-const HEADER_PARSE_CYCLES: u64 = 2;
-/// Query-queue enqueue cost.
-const ENQUEUE_CYCLES: u64 = 2;
 
 /// Prices one micro-op at an assumed servicing level, uncontended. Every op
 /// also pays its CEE issue slot (one cycle).

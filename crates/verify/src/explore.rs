@@ -227,10 +227,10 @@ pub fn explore(program: &dyn CfaProgram, model: &StructureModel) -> Exploration 
             states.push(base_ctx.state);
         }
 
-        // Mirror the dispatch-level stale gate: a root whose header epoch is
-        // odd (mutation in flight) never reaches the CFA — the executor
-        // returns `StaleStructure` before the first step. Model it as an
-        // immediate Fault terminal.
+        // Mirror the stale gate in `qei_core::walk`: a root whose header
+        // epoch is odd (mutation in flight) never reaches the CFA — the walk
+        // driver returns `StaleStructure` before the first step. Model it
+        // as an immediate Fault terminal.
         if matches!(outcome, OpOutcome::Start) && base_ctx.header.stale() {
             log.bytes(b"stale-root");
             configs[id].end = ConfigEnd::Fault;

@@ -15,7 +15,7 @@
 
 use qei_config::{CostContract, SimRng};
 use qei_core::firmware::btree::{BPlusTreeCfa, BTREE_TYPE};
-use qei_core::{run_query_counted, FirmwareStore, Header, HEADER_BYTES};
+use qei_core::{walk, FirmwareStore, Header, Walk, HEADER_BYTES};
 use qei_datastructs::{
     stage_key, AcTrie, BPlusTree, Bst, ChainedHash, CuckooHash, LinkedList, LpmTrie, QueryDs,
     SkipList,
@@ -41,7 +41,11 @@ fn assert_sound(
     header_addr: VirtAddr,
     key_addr: VirtAddr,
 ) {
-    let (result, cost, steps) = run_query_counted(fw, mem, header_addr, key_addr);
+    let Walk {
+        result,
+        cost,
+        steps,
+    } = walk(fw, mem, header_addr, key_addr, &mut ());
     if result.is_err() {
         return;
     }
@@ -212,7 +216,7 @@ fn bound_tightness_is_pinned() {
             .clone();
         let mut deepest = 0u64;
         for &key_addr in keys {
-            let (result, _, steps) = run_query_counted(&fw, &f.mem, *header_addr, key_addr);
+            let Walk { result, steps, .. } = walk(&fw, &f.mem, *header_addr, key_addr, &mut ());
             assert!(result.is_ok(), "honest query through {} faulted", c.cfa);
             deepest = deepest.max(steps);
         }

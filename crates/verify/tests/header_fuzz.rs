@@ -2,17 +2,19 @@
 //!
 //! The accelerator reads the 64-byte structure header straight out of guest
 //! memory, so a hostile or buggy guest can hand it *anything*. The safety
-//! property: `run_query` never panics — every outcome is `Ok(value)` or a
-//! typed `FaultCode`. Two attack shapes:
+//! property: neither `run_query` nor the timed walk of any integration
+//! scheme panics — every outcome is `Ok(value)` or a typed `FaultCode`, and
+//! the two agree. Two attack shapes:
 //!
 //! 1. fully random 64-byte headers on otherwise empty guest memory;
 //! 2. single-byte corruptions of *real* headers over *real* built
 //!    structures, which exercise much deeper CFA walks before the
 //!    corruption bites.
 
-use qei_config::SimRng;
+use qei_cache::MemoryHierarchy;
+use qei_config::{Cycles, MachineConfig, Scheme, SimRng};
 use qei_core::firmware::btree::{BPlusTreeCfa, BTREE_TYPE};
-use qei_core::{run_query, FirmwareStore, HEADER_BYTES};
+use qei_core::{run_query, FirmwareStore, QeiAccelerator, QueryRequest, SubmitCtx, HEADER_BYTES};
 use qei_datastructs::{
     stage_key, AcTrie, BPlusTree, Bst, ChainedHash, CuckooHash, LinkedList, LpmTrie, QueryDs,
     SkipList,
@@ -26,11 +28,48 @@ fn firmware() -> FirmwareStore {
     fw
 }
 
+/// One accelerator and hierarchy per scheme, reused across every query of a
+/// test rather than rebuilt per query.
+fn timed_walks() -> Vec<(QeiAccelerator, MemoryHierarchy)> {
+    let config = MachineConfig::skylake_sp_24();
+    Scheme::ALL
+        .iter()
+        .map(|&scheme| {
+            let mut accel = QeiAccelerator::new(&config, scheme, 0);
+            accel
+                .firmware_mut()
+                .register(BTREE_TYPE, 0, Arc::new(BPlusTreeCfa));
+            (accel, MemoryHierarchy::new(&config))
+        })
+        .collect()
+}
+
+/// Runs one query functionally and through every scheme's timed walk; each
+/// scheme must deliver the functional result.
+fn query_everywhere(
+    fw: &FirmwareStore,
+    timed: &mut [(QeiAccelerator, MemoryHierarchy)],
+    mem: &mut GuestMem,
+    header_addr: VirtAddr,
+    key_addr: VirtAddr,
+) {
+    let expected = run_query(fw, mem, header_addr, key_addr);
+    for (accel, hier) in timed.iter_mut() {
+        let outcome = accel.submit(
+            QueryRequest::blocking(header_addr, key_addr),
+            SubmitCtx::new(Cycles(0), mem, hier),
+        );
+        let (_, result) = outcome.completed().expect("blocking queries complete");
+        assert_eq!(result, expected, "{}", accel.scheme());
+    }
+}
+
 /// Fully random headers: 300 of them, each paired with a staged key, must
 /// all resolve to `Ok` or a typed fault.
 #[test]
 fn random_headers_never_panic() {
     let fw = firmware();
+    let mut timed = timed_walks();
     let mut mem = GuestMem::new(0xF00D);
     let mut rng = SimRng::seed_from_u64(0x04EA_DE44);
 
@@ -45,14 +84,20 @@ fn random_headers_never_panic() {
         }
         mem.write(header_addr, &bytes).expect("header is mapped");
         // The property *is* "does not panic": a panic aborts the test.
-        let _ = run_query(&fw, &mem, header_addr, key_addr);
+        query_everywhere(&fw, &mut timed, &mut mem, header_addr, key_addr);
     }
 }
 
 /// Builds each of the eight structures, then flips random header bytes and
 /// queries through the corrupted header. Restores the byte between rounds so
 /// corruptions stay independent.
-fn flip_and_query(mem: &mut GuestMem, fw: &FirmwareStore, ds: &dyn QueryDs, keys: &[&[u8]]) {
+fn flip_and_query(
+    mem: &mut GuestMem,
+    fw: &FirmwareStore,
+    timed: &mut [(QeiAccelerator, MemoryHierarchy)],
+    ds: &dyn QueryDs,
+    keys: &[&[u8]],
+) {
     let mut rng = SimRng::seed_from_u64(0xB17F_11B5);
     let header_addr = ds.header_addr();
     let pristine = mem
@@ -69,7 +114,7 @@ fn flip_and_query(mem: &mut GuestMem, fw: &FirmwareStore, ds: &dyn QueryDs, keys
             .expect("header is mapped");
 
         let key_addr = key_addrs[(rng.next_u64() as usize) % key_addrs.len()];
-        let _ = run_query(fw, mem, header_addr, key_addr);
+        query_everywhere(fw, timed, mem, header_addr, key_addr);
     }
     mem.write(header_addr, &pristine).expect("header is mapped");
 }
@@ -77,6 +122,7 @@ fn flip_and_query(mem: &mut GuestMem, fw: &FirmwareStore, ds: &dyn QueryDs, keys
 #[test]
 fn corrupted_real_headers_never_panic() {
     let fw = firmware();
+    let mut timed = timed_walks();
     let mut mem = GuestMem::new(0xBEEF);
 
     let mut list = LinkedList::new(&mut mem, 8).expect("guest alloc");
@@ -114,14 +160,14 @@ fn corrupted_real_headers_never_panic() {
     let text_keys: [&[u8]; 2] = [b"ushershe", b"xxxxxxxx"];
     let route_keys: [&[u8]; 2] = [&[10, 0, 0, 1], &[192, 168, 1, 7]];
 
-    flip_and_query(&mut mem, &fw, &list, &int_key_refs);
-    flip_and_query(&mut mem, &fw, &chained, &int_key_refs);
-    flip_and_query(&mut mem, &fw, &cuckoo, &int_key_refs);
-    flip_and_query(&mut mem, &fw, &skip, &int_key_refs);
-    flip_and_query(&mut mem, &fw, &bst, &int_key_refs);
-    flip_and_query(&mut mem, &fw, &trie, &text_keys);
-    flip_and_query(&mut mem, &fw, &lpm, &route_keys);
-    flip_and_query(&mut mem, &fw, &btree, &int_key_refs);
+    flip_and_query(&mut mem, &fw, &mut timed, &list, &int_key_refs);
+    flip_and_query(&mut mem, &fw, &mut timed, &chained, &int_key_refs);
+    flip_and_query(&mut mem, &fw, &mut timed, &cuckoo, &int_key_refs);
+    flip_and_query(&mut mem, &fw, &mut timed, &skip, &int_key_refs);
+    flip_and_query(&mut mem, &fw, &mut timed, &bst, &int_key_refs);
+    flip_and_query(&mut mem, &fw, &mut timed, &trie, &text_keys);
+    flip_and_query(&mut mem, &fw, &mut timed, &lpm, &route_keys);
+    flip_and_query(&mut mem, &fw, &mut timed, &btree, &int_key_refs);
 
     // With the pristine headers restored, the structures still answer.
     let probe = stage_key(&mut mem, &8u64.to_be_bytes());

@@ -318,12 +318,12 @@ fn panicking_step_is_rejected() {
 }
 
 // ---------------------------------------------------------------------------
-// Mutation epochs: the explorer models the dispatch-level stale gate
+// Mutation epochs: the explorer models the walk driver's stale gate
 // ---------------------------------------------------------------------------
 
 /// A root whose header epoch is odd never reaches the CFA: the explorer
-/// resolves it as an immediate `Fault` terminal, mirroring the executor's
-/// `StaleStructure` gate.
+/// resolves it as an immediate `Fault` terminal, mirroring the
+/// `StaleStructure` gate in `qei_core::walk`.
 #[test]
 fn stale_root_is_fault_terminal() {
     use qei_verify::{explore, ConfigEnd};

@@ -38,11 +38,9 @@ fn list_with_items(guest: &mut GuestMem, n: u64) -> LinkedList {
     list
 }
 
-#[test]
-fn unmapped_structure_pointer_raises_page_fault() {
-    let (config, mut guest, mut hier) = machine();
-    let header = Header {
-        ds_ptr: VirtAddr(0xBAD0_0000),
+fn list_header(ds_ptr: VirtAddr) -> Header {
+    Header {
+        ds_ptr,
         dtype: DsType::LinkedList,
         subtype: 0,
         key_len: 8,
@@ -52,15 +50,64 @@ fn unmapped_structure_pointer_raises_page_fault() {
         aux1: 0,
         aux2: 0,
         epoch: 0,
-    };
-    let ha = guest.alloc(64, 64).unwrap();
-    header.write_to(&mut guest, ha).unwrap();
+    }
+}
+
+/// Blocking submit on a fresh accelerator and hierarchy; returns the
+/// completion, the result, and the accelerator's TLB lookups.
+fn submit_fresh(
+    config: &MachineConfig,
+    scheme: Scheme,
+    ha: VirtAddr,
+    ka: VirtAddr,
+    guest: &mut GuestMem,
+) -> (Cycles, Result<u64, FaultCode>, u64) {
+    let mut hier = MemoryHierarchy::new(config);
+    let mut accel = QeiAccelerator::new(config, scheme, 0);
+    let (done, result) = submit_b(&mut accel, Cycles(0), ha, ka, guest, &mut hier);
+    assert_eq!(accel.stats().faults, u64::from(result.is_err()));
+    (done, result, accel.stats().tlb_lookups)
+}
+
+#[test]
+fn unmapped_structure_pointer_raises_page_fault() {
+    let (config, mut guest, _) = machine();
+    let fw = FirmwareStore::with_builtins();
     let ka = stage_key(&mut guest, b"whatever");
 
-    let mut accel = QeiAccelerator::new(&config, Scheme::CoreIntegrated, 0);
-    let (_, result) = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
-    assert_eq!(result, Err(FaultCode::PageFault));
-    assert_eq!(accel.stats().faults, 1);
+    // Unmapped structure pointers, including ones whose 24-byte node read
+    // runs off the top of the address space.
+    for ds_ptr in [0xBAD0_0000, u64::MAX - 15, u64::MAX - 7, u64::MAX] {
+        let ha = guest.alloc(64, 64).unwrap();
+        list_header(VirtAddr(ds_ptr))
+            .write_to(&mut guest, ha)
+            .unwrap();
+        assert_eq!(run_query(&fw, &guest, ha, ka), Err(FaultCode::PageFault));
+        for scheme in Scheme::ALL {
+            let (_, result, _) = submit_fresh(&config, scheme, ha, ka, &mut guest);
+            assert_eq!(result, Err(FaultCode::PageFault), "{scheme}: {ds_ptr:#x}");
+        }
+    }
+
+    // A mapped node whose key pointer wraps the address space: its compare
+    // lies outside the staged node, so it is priced like any other
+    // unmapped key pointer, not as a free compare on the staged line.
+    let node = guest.alloc(24, 8).unwrap();
+    guest.write_u64(node, 0).unwrap();
+    guest.write_u64(node + 16, 1).unwrap();
+    let ha = guest.alloc(64, 64).unwrap();
+    list_header(node).write_to(&mut guest, ha).unwrap();
+    for scheme in Scheme::ALL {
+        let mut priced = Vec::new();
+        for key_ptr in [0xDEAD_0000, u64::MAX - 3] {
+            guest.write_u64(node + 8, key_ptr).unwrap();
+            assert_eq!(run_query(&fw, &guest, ha, ka), Err(FaultCode::PageFault));
+            let (done, result, lookups) = submit_fresh(&config, scheme, ha, ka, &mut guest);
+            assert_eq!(result, Err(FaultCode::PageFault), "{scheme}: {key_ptr:#x}");
+            priced.push((done, lookups));
+        }
+        assert_eq!(priced[0], priced[1], "{scheme}: wrapped key pointer");
+    }
 }
 
 #[test]

@@ -6,9 +6,12 @@
 //! QEI firmware (functional engine *and* every integration scheme's timing
 //! walk) returns exactly what the software routine returns.
 
+use qei::accel::firmware::btree::{BPlusTreeCfa, BTREE_TYPE};
+use qei::accel::walk;
 use qei::cache::MemoryHierarchy;
 use qei::config::SimRng;
 use qei::prelude::*;
+use std::sync::Arc;
 
 /// Number of randomized cases per property (each case gets its own seed, so
 /// any failure reproduces from the case index alone).
@@ -147,35 +150,116 @@ fn trie_firmware_matches_software_and_host_oracle() {
     }
 }
 
+/// A structure under test: its name, header, and staged probe keys.
+type Probed = (&'static str, VirtAddr, Vec<VirtAddr>);
+
+/// Builds one of each of the eight structures the shipped CFAs walk and
+/// stages a few probe keys for each.
+fn all_structures(mem: &mut GuestMem, rng: &mut SimRng, case: u64) -> Vec<Probed> {
+    let mut out = Vec::new();
+    let mut probe = |mem: &mut GuestMem, name, header, keys: Vec<Vec<u8>>| {
+        let keys = keys.iter().map(|k| stage_key(mem, k)).collect();
+        out.push((name, header, keys));
+    };
+    let n = rng.range_inclusive(1, 39);
+    let probes: Vec<Vec<u8>> = (0..rng.range_inclusive(1, 5))
+        .map(|_| key8(rng.below(60)))
+        .collect();
+
+    let mut list = LinkedList::new(mem, 8).unwrap();
+    let mut chained = ChainedHash::new(mem, 16, 8, case ^ 0xC0FFEE).unwrap();
+    let mut skip = SkipList::new(mem, 8, 8, case).unwrap();
+    let mut bst = Bst::new(mem).unwrap();
+    for i in 0..n {
+        list.insert(mem, &key8(i), i + 1).unwrap();
+        chained.insert(mem, &key8(i), i + 1).unwrap();
+        skip.insert(mem, &key8(i), i + 1).unwrap();
+        bst.insert(mem, i * 3 + 1, i + 1).unwrap();
+    }
+    probe(mem, "linked list", list.header_addr(), probes.clone());
+    probe(mem, "chained hash", chained.header_addr(), probes.clone());
+    probe(mem, "skip list", skip.header_addr(), probes.clone());
+    let ints: Vec<Vec<u8>> = (0..4)
+        .map(|_| rng.below(3 * n + 3).to_be_bytes().to_vec())
+        .collect();
+    probe(mem, "BST", bst.header_addr(), ints.clone());
+
+    let mut cuckoo = CuckooHash::new(mem, 16, 4, 16, (case ^ 1, case ^ 2)).unwrap();
+    for i in 0..n {
+        let _ = cuckoo.insert(mem, format!("flow:{i:011}").as_bytes(), i + 1);
+    }
+    let flows = (0..4)
+        .map(|_| format!("flow:{:011}", rng.below(60)).into_bytes())
+        .collect();
+    probe(mem, "cuckoo hash", cuckoo.header_addr(), flows);
+
+    let items: Vec<(u64, u64)> = (0..n).map(|i| (i * 3 + 1, i + 1)).collect();
+    let btree = BPlusTree::build(mem, &items).unwrap();
+    probe(mem, "B+-tree", btree.header_addr(), ints);
+
+    let dict = vec![b"he".to_vec(), b"she".to_vec(), b"hers".to_vec()];
+    let trie = AcTrie::build(mem, &dict, 32).unwrap();
+    let texts = (0..2)
+        .map(|_| (0..32).map(|_| b"hers "[rng.below(5) as usize]).collect())
+        .collect();
+    probe(mem, "AC trie", trie.header_addr(), texts);
+
+    let routes = vec![(vec![10], 1), (vec![10, 0], 2), (vec![192, 168, 1], 3)];
+    let lpm = LpmTrie::build(mem, &routes).unwrap();
+    let addrs = (0..4)
+        .map(|_| {
+            let [a, b] = [[10, 0], [192, 168], [172, 16]][rng.below(3) as usize];
+            vec![a, b, 1, rng.below(256) as u8]
+        })
+        .collect();
+    probe(mem, "LPM trie", lpm.header_addr(), addrs);
+    out
+}
+
+/// The timed walk and the functional engine agree on every CFA: the same
+/// result, and per query the same count of each micro-op kind (the timed
+/// walk's memory ops add the header and key fetches).
 #[test]
 fn timing_walk_matches_functional_engine_across_schemes() {
+    let config = MachineConfig::skylake_sp_24();
+    let mut fw = FirmwareStore::with_builtins();
+    fw.register(BTREE_TYPE, 0, Arc::new(BPlusTreeCfa));
     for case in 0..CASES {
         let mut rng = SimRng::seed_from_u64(0x66 * 1000 + case);
-        let config = MachineConfig::skylake_sp_24();
         let mut mem = GuestMem::new(case);
-        let mut table = ChainedHash::new(&mut mem, 16, 8, case ^ 0xC0FFEE).unwrap();
-        for i in 0..rng.range_inclusive(1, 39) {
-            table.insert(&mut mem, &key8(i), i + 1).unwrap();
-        }
-        let probes: Vec<u64> = (0..rng.range_inclusive(1, 5))
-            .map(|_| rng.below(60))
-            .collect();
-        let fw = FirmwareStore::with_builtins();
+        let structures = all_structures(&mut mem, &mut rng, case);
         for scheme in Scheme::ALL {
             let mut hier = MemoryHierarchy::new(&config);
             let mut accel = QeiAccelerator::new(&config, scheme, 0);
-            for &p in &probes {
-                let key = key8(p);
-                let ka = stage_key(&mut mem, &key);
-                let expected = run_query(&fw, &mem, table.header_addr(), ka);
-                let (_, result) = accel
-                    .submit(
-                        QueryRequest::blocking(table.header_addr(), ka),
-                        SubmitCtx::new(Cycles(0), &mut mem, &mut hier),
-                    )
-                    .completed()
-                    .unwrap();
-                assert_eq!(result, expected, "case {case}, scheme {scheme:?}");
+            accel
+                .firmware_mut()
+                .register(BTREE_TYPE, 0, Arc::new(BPlusTreeCfa));
+            for (name, ha, keys) in &structures {
+                for &ka in keys {
+                    let expected = walk(&fw, &mem, *ha, ka, &mut ());
+                    let before = accel.stats();
+                    let (_, result) = accel
+                        .submit(
+                            QueryRequest::blocking(*ha, ka),
+                            SubmitCtx::new(Cycles(0), &mut mem, &mut hier),
+                        )
+                        .completed()
+                        .unwrap();
+                    let s = accel.stats();
+                    let c = expected.cost;
+                    let at = format!("case {case}, {name}, {scheme}");
+                    assert_eq!(result, expected.result, "{at}");
+                    assert!(result.is_ok(), "{at}: {result:?}");
+                    assert_eq!(s.mem_ops - before.mem_ops, c.read_ops + 2, "{at}");
+                    assert_eq!(s.compares - before.compares, c.compare_ops, "{at}");
+                    assert_eq!(
+                        s.compare_bytes - before.compare_bytes,
+                        c.compare_bytes,
+                        "{at}"
+                    );
+                    assert_eq!(s.hashes - before.hashes, c.hash_ops, "{at}");
+                    assert_eq!(s.alu_ops - before.alu_ops, c.alu_ops, "{at}");
+                }
             }
         }
     }
