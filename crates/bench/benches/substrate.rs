@@ -30,6 +30,22 @@ fn bench_guest_memory(suite: &mut BenchSuite) {
     });
 }
 
+fn bench_guest_fork_and_digest(suite: &mut BenchSuite) {
+    let (sys, _) = dpdk_fixture();
+    let image = sys.guest();
+    suite.bench("guest_fork/dpdk", || black_box(image.clone()));
+    // A warm digest, then one 64-byte line written before each digest.
+    let mut mem = image.clone();
+    let line = mem.alloc(64, 64).unwrap();
+    black_box(mem.state_digest());
+    let mut v = 0u64;
+    suite.bench("guest_digest/one_dirty_frame", || {
+        v += 1;
+        mem.write(line, &[v as u8; 64]).unwrap();
+        black_box(mem.state_digest())
+    });
+}
+
 fn bench_functional_query(suite: &mut BenchSuite) {
     let mut mem = GuestMem::new(2);
     let mut table = ChainedHash::new(&mut mem, 1024, 16, 0xFEED).unwrap();
@@ -131,6 +147,7 @@ fn bench_full_runs(suite: &mut BenchSuite) {
 fn main() {
     let mut suite = BenchSuite::from_args("substrate");
     bench_guest_memory(&mut suite);
+    bench_guest_fork_and_digest(&mut suite);
     bench_functional_query(&mut suite);
     bench_core_model(&mut suite);
     bench_accel_submission(&mut suite);

@@ -242,12 +242,16 @@ impl GuestMem {
         Ok(v)
     }
 
-    /// FNV-1a digest of the full guest state: the materialized physical
-    /// image (in frame-number order), the heap break, and the allocator
-    /// position. Two guests with equal digests read identically at every
-    /// address and continue allocating identically — the serialized-state
-    /// comparison the snapshot/revert machinery pins its semantics on.
-    /// A [`Clone`] always digests equal to its source.
+    /// Digest of the full guest state: the materialized physical image
+    /// ([`PhysMem::digest`]: each touched frame's number and content hash,
+    /// in frame-number order), then the heap break and the allocator
+    /// position, folded byte by byte with FNV-1a. Two guests with equal
+    /// digests read identically at every address and continue allocating
+    /// identically — the serialized-state comparison the snapshot/revert
+    /// machinery pins its semantics on. The value depends on content
+    /// alone, not on write order or clone history, and a [`Clone`] always
+    /// digests equal to its source. Frame hashes are cached, so a digest
+    /// rehashes only the frames written since the last one.
     pub fn state_digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

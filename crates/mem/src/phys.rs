@@ -1,22 +1,61 @@
-//! Simulated physical memory: 4 KB frames in one flat arena.
+//! Simulated physical memory: copy-on-write 4 KB frames with cached
+//! content hashes.
 //!
-//! Frames are materialized on first write into a single contiguous byte
-//! arena, with a flat `pfn → arena slot` table in front of it. [`FrameAlloc`]
-//! hands out frame numbers densely from 1 upward (in shuffled windows), so
-//! the table stays small and an access is two array indexes — no hashing on
-//! the functional read/write path.
+//! Each materialized frame is its own shared page behind a flat
+//! `pfn → frame` table. A clone copies the table and shares every page; the
+//! first write to a shared page copies that one page ([`Arc::make_mut`]).
+//! So a fork costs a table of pointers, and a snapshot costs only the
+//! frames written after it. [`FrameAlloc`] hands out frame numbers densely
+//! from 1 upward (in shuffled windows), so the table stays small and an
+//! access is one array index plus one pointer — no hashing on the
+//! functional read/write path.
+//!
+//! Each frame also caches a hash of its content, which any write to the
+//! frame clears. [`PhysMem::digest`] folds the cached hashes in PFN order
+//! and rehashes only the cleared frames.
 //!
 //! [`FrameAlloc`]: crate::FrameAlloc
 
 use crate::addr::{PhysAddr, PAGE_BYTES};
-
-/// Marker for a frame that has never been written.
-const NO_FRAME: u32 = u32::MAX;
+use std::cell::Cell;
+use std::sync::Arc;
 
 /// Upper bound on the frame-number space (256 GB of simulated physical
 /// memory) — a guard against a stray huge physical address turning the flat
 /// table into an allocation bomb.
 const MAX_FRAMES: u64 = 1 << 26;
+
+/// The bytes of one frame.
+type Page = [u8; PAGE_BYTES as usize];
+
+/// One step of the word-wise fold behind frame hashes and the digest. The
+/// multiply carries each bit of `w` upward, and the rotation carries the
+/// high bits into the low ones before the next multiply, so every input bit
+/// reaches every output bit once another word follows. (Plain word-wise
+/// FNV-1a has no rotation: there, flipping bit 63 of any two words cancels.)
+#[inline]
+fn mix(h: u64, w: u64) -> u64 {
+    (h.rotate_left(23) ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
+/// Content hash of one frame: its 512 little-endian words folded with
+/// [`mix`], then finalized so the last word's high bits reach the low ones.
+fn page_hash(page: &Page) -> u64 {
+    let (words, _) = page.as_chunks::<8>();
+    let h = words.iter().fold(0, |h, w| mix(h, u64::from_le_bytes(*w)));
+    h ^ (h >> 29)
+}
+
+/// One entry of the frame table.
+#[derive(Debug, Default, Clone)]
+struct Frame {
+    /// The frame's bytes, `None` while untouched. Shared with clones until
+    /// either side writes.
+    page: Option<Arc<Page>>,
+    /// [`page_hash`] of `page`, `None` until a digest computes it and again
+    /// after any write to the frame.
+    hash: Cell<Option<u64>>,
+}
 
 /// Sparse guest physical memory. Frames are materialized on first touch.
 ///
@@ -25,11 +64,8 @@ const MAX_FRAMES: u64 = 1 << 26;
 /// boundaries.
 #[derive(Debug, Default, Clone)]
 pub struct PhysMem {
-    /// `pfn → index of the frame in `data``, [`NO_FRAME`] when untouched.
-    slots: Vec<u32>,
-    /// Frame storage: [`PAGE_BYTES`] bytes per materialized frame, in
-    /// materialization order.
-    data: Vec<u8>,
+    /// Indexed by PFN.
+    frames: Vec<Frame>,
 }
 
 impl PhysMem {
@@ -40,32 +76,30 @@ impl PhysMem {
 
     /// Number of frames that have been touched.
     pub fn resident_frames(&self) -> usize {
-        self.data.len() / PAGE_BYTES as usize
+        self.frames.iter().filter(|f| f.page.is_some()).count()
     }
 
-    /// The frame backing `pfn`, if it has been materialized.
+    /// The page backing `pfn`, if it has been materialized.
     #[inline]
-    fn frame(&self, pfn: u64) -> Option<&[u8]> {
-        let slot = *self.slots.get(usize::try_from(pfn).ok()?)?;
-        if slot == NO_FRAME {
-            return None;
-        }
-        let off = slot as usize * PAGE_BYTES as usize;
-        Some(&self.data[off..off + PAGE_BYTES as usize])
+    fn page(&self, pfn: u64) -> Option<&Page> {
+        self.frames.get(usize::try_from(pfn).ok()?)?.page.as_deref()
     }
 
-    fn frame_mut(&mut self, pfn: u64) -> &mut [u8] {
+    /// The page backing `pfn` for writing: materialized if untouched,
+    /// unshared if a clone still holds it, and its cached hash cleared.
+    fn page_mut(&mut self, pfn: u64) -> &mut Page {
         assert!(pfn < MAX_FRAMES, "physical frame {pfn:#x} out of range");
         let pfn = pfn as usize;
-        if pfn >= self.slots.len() {
-            self.slots.resize(pfn + 1, NO_FRAME);
+        if pfn >= self.frames.len() {
+            self.frames.resize_with(pfn + 1, Frame::default);
         }
-        if self.slots[pfn] == NO_FRAME {
-            self.slots[pfn] = (self.data.len() / PAGE_BYTES as usize) as u32;
-            self.data.resize(self.data.len() + PAGE_BYTES as usize, 0);
-        }
-        let off = self.slots[pfn] as usize * PAGE_BYTES as usize;
-        &mut self.data[off..off + PAGE_BYTES as usize]
+        let frame = &mut self.frames[pfn];
+        *frame.hash.get_mut() = None;
+        Arc::make_mut(
+            frame
+                .page
+                .get_or_insert_with(|| Arc::new([0; PAGE_BYTES as usize])),
+        )
     }
 
     /// Reads `buf.len()` bytes starting at `pa`. Untouched memory reads as 0.
@@ -76,8 +110,8 @@ impl PhysMem {
             let pfn = addr >> 12;
             let off = (addr & (PAGE_BYTES - 1)) as usize;
             let n = ((PAGE_BYTES as usize) - off).min(buf.len() - done);
-            match self.frame(pfn) {
-                Some(frame) => buf[done..done + n].copy_from_slice(&frame[off..off + n]),
+            match self.page(pfn) {
+                Some(page) => buf[done..done + n].copy_from_slice(&page[off..off + n]),
                 None => buf[done..done + n].fill(0),
             }
             done += n;
@@ -93,31 +127,28 @@ impl PhysMem {
             let pfn = addr >> 12;
             let off = (addr & (PAGE_BYTES - 1)) as usize;
             let n = ((PAGE_BYTES as usize) - off).min(buf.len() - done);
-            self.frame_mut(pfn)[off..off + n].copy_from_slice(&buf[done..done + n]);
+            self.page_mut(pfn)[off..off + n].copy_from_slice(&buf[done..done + n]);
             done += n;
             addr += n as u64;
         }
     }
 
-    /// FNV-1a digest of the materialized image, folded in frame-number
-    /// order: each touched frame contributes its PFN and its bytes. The
-    /// digest is a pure function of the *content* — two images that read
-    /// identically at every physical address digest identically, regardless
-    /// of the order their frames were materialized in.
+    /// Digest of the materialized image, folded into `h` in frame-number
+    /// order: each touched frame contributes its PFN and the hash of its
+    /// bytes. Only frames written since their last digest are rehashed.
+    /// The digest is a pure function of the *content* — two images that
+    /// read identically at every physical address and have the same
+    /// frames touched digest identically, regardless of the order their
+    /// frames were materialized in or of how they were cloned.
     pub fn digest(&self, mut h: u64) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        for (pfn, &slot) in self.slots.iter().enumerate() {
-            if slot == NO_FRAME {
-                continue;
-            }
-            let off = slot as usize * PAGE_BYTES as usize;
-            let frame = &self.data[off..off + PAGE_BYTES as usize];
-            for b in (pfn as u64).to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
-            for &b in frame {
-                h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-            }
+        for (pfn, frame) in self.frames.iter().enumerate() {
+            let Some(page) = &frame.page else { continue };
+            let hash = frame.hash.get().unwrap_or_else(|| {
+                let fresh = page_hash(page);
+                frame.hash.set(Some(fresh));
+                fresh
+            });
+            h = mix(mix(h, pfn as u64), hash);
         }
         h
     }
@@ -199,5 +230,147 @@ mod tests {
         let mut buf = [0u8; 4];
         b.read(PhysAddr(0x1000), &mut buf);
         assert_eq!(&buf, b"orig");
+    }
+
+    /// An image with `n` frames, each filled with a pattern of its PFN.
+    fn image(n: u64) -> PhysMem {
+        let mut m = PhysMem::new();
+        for pfn in 1..=n {
+            let fill: Vec<u8> = (0..PAGE_BYTES).map(|i| (pfn * 31 + i) as u8).collect();
+            m.write(PhysAddr(pfn * PAGE_BYTES), &fill);
+        }
+        m
+    }
+
+    /// PFNs whose pages `a` and `b` share (the same allocation).
+    fn shared(a: &PhysMem, b: &PhysMem) -> Vec<usize> {
+        a.frames
+            .iter()
+            .zip(&b.frames)
+            .enumerate()
+            .filter_map(|(pfn, (x, y))| match (&x.page, &y.page) {
+                (Some(x), Some(y)) if Arc::ptr_eq(x, y) => Some(pfn),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fork_shares_every_frame_until_its_first_write() {
+        let a = image(6);
+        let mut b = a.clone();
+        assert_eq!(shared(&a, &b), (1..=6).collect::<Vec<_>>());
+        b.write(PhysAddr(3 * PAGE_BYTES + 8), b"x");
+        assert_eq!(shared(&a, &b), vec![1, 2, 4, 5, 6], "only frame 3 copied");
+        b.write(PhysAddr(3 * PAGE_BYTES + 9), b"y");
+        assert_eq!(shared(&a, &b), vec![1, 2, 4, 5, 6]);
+        // A read shares as before; an untouched frame stays untouched.
+        let _ = b.read_u64(PhysAddr(5 * PAGE_BYTES));
+        b.write(PhysAddr(9 * PAGE_BYTES), b"new");
+        assert_eq!(shared(&a, &b), vec![1, 2, 4, 5, 6]);
+        assert!(a.page(9).is_none());
+    }
+
+    #[test]
+    fn writes_on_either_side_of_a_fork_stay_on_that_side() {
+        let mut a = image(4);
+        let base = a.digest(0);
+        let bytes = |m: &PhysMem| {
+            let mut v = vec![0u8; 6 * PAGE_BYTES as usize];
+            m.read(PhysAddr(0), &mut v);
+            v
+        };
+        let before = bytes(&a);
+
+        // Write to the clone: the source keeps its bytes and digest.
+        let mut b = a.clone();
+        b.write(PhysAddr(2 * PAGE_BYTES + 100), b"clone");
+        assert_eq!(bytes(&a), before);
+        assert_eq!(a.digest(0), base);
+        assert_ne!(b.digest(0), base);
+
+        // And the reverse: write to the source, the clone keeps its own.
+        let c = a.clone();
+        let c_digest = c.digest(0);
+        let c_bytes = bytes(&c);
+        a.write(PhysAddr(PAGE_BYTES + 7), b"source");
+        assert_eq!(bytes(&c), c_bytes);
+        assert_eq!(c.digest(0), c_digest);
+        assert_ne!(a.digest(0), base);
+    }
+
+    #[test]
+    fn resident_frames_is_per_image_across_clones() {
+        let mut a = image(3);
+        let mut b = a.clone();
+        assert_eq!((a.resident_frames(), b.resident_frames()), (3, 3));
+        b.write(PhysAddr(7 * PAGE_BYTES), b"b");
+        b.write(PhysAddr(2 * PAGE_BYTES), b"b");
+        assert_eq!((a.resident_frames(), b.resident_frames()), (3, 4));
+        a.write(PhysAddr(10 * PAGE_BYTES - 2), b"abcd");
+        assert_eq!((a.resident_frames(), b.resident_frames()), (5, 4));
+        drop(b);
+        assert_eq!(a.resident_frames(), 5);
+    }
+
+    /// Flips bit `bit` of the `word`th little-endian word of frame `pfn`.
+    fn flip(m: &mut PhysMem, pfn: u64, word: u64, bit: u32) {
+        let pa = PhysAddr(pfn * PAGE_BYTES + word * 8);
+        let v = m.read_u64(pa);
+        m.write_u64(pa, v ^ (1 << bit));
+    }
+
+    #[test]
+    fn every_sampled_single_bit_flip_moves_the_digest() {
+        let mut m = image(3);
+        let base = m.digest(0);
+        for word in [0, 255, 511] {
+            for bit in [0, 63] {
+                flip(&mut m, 2, word, bit);
+                assert_ne!(m.digest(0), base, "word {word} bit {bit}");
+                flip(&mut m, 2, word, bit);
+                assert_eq!(m.digest(0), base, "flipping back restores it");
+            }
+        }
+    }
+
+    #[test]
+    fn flipping_bit_63_in_two_words_moves_the_digest() {
+        let mut m = image(2);
+        let base = m.digest(0);
+        for (w1, w2) in [(0, 1), (0, 511), (17, 300), (510, 511)] {
+            let mut f = m.clone();
+            flip(&mut f, 1, w1, 63);
+            flip(&mut f, 1, w2, 63);
+            assert_ne!(f.digest(0), base, "words {w1} and {w2}");
+        }
+        // The same pair across two frames.
+        flip(&mut m, 1, 5, 63);
+        flip(&mut m, 2, 5, 63);
+        assert_ne!(m.digest(0), base);
+    }
+
+    #[test]
+    fn equal_content_digests_equal_whatever_the_history() {
+        // Direct writes, in two different frame orders.
+        let mut x = PhysMem::new();
+        x.write(PhysAddr(4 * PAGE_BYTES), b"four");
+        x.write(PhysAddr(PAGE_BYTES), b"one");
+        let mut y = PhysMem::new();
+        y.write(PhysAddr(PAGE_BYTES), b"one");
+        y.write(PhysAddr(4 * PAGE_BYTES), b"four");
+        assert_eq!(x.digest(0), y.digest(0));
+
+        // Clone → write → write back, with a digest cached in between.
+        let mut z = x.clone();
+        z.write(PhysAddr(PAGE_BYTES), b"ONE");
+        assert_ne!(z.digest(0), x.digest(0));
+        z.write(PhysAddr(PAGE_BYTES), b"one");
+        assert_eq!(z.digest(0), x.digest(0));
+        assert_eq!(z.digest(0), y.digest(0));
+        // Touching a frame with zeros still makes it resident, as the
+        // digest has always counted it.
+        z.write(PhysAddr(8 * PAGE_BYTES), &[0; 4]);
+        assert_ne!(z.digest(0), y.digest(0));
     }
 }

@@ -19,9 +19,10 @@ use qei_sim::{
     cores_divide_llc, ConfigOverrides, RunMode, SimSession, SimSnapshot, WorkloadKind, WorkloadSpec,
 };
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixListener;
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
+use std::time::Duration;
 
 /// Ceiling on any single build-sizing parameter: big enough for every
 /// experiment in the tree, small enough that an interactive daemon stays
@@ -46,7 +47,7 @@ const MAX_ARRIVALS: u64 = 1 << 22;
 const MAX_ARRIVAL_DRAWS: u64 = 1 << 32;
 
 /// Ceiling on a served run's core lanes, each a full per-core stack with
-/// its own copy of the guest image.
+/// its own fork of the guest image (pages shared until a lane writes them).
 const MAX_CORES: u32 = 64;
 
 /// One named session: the warm [`SimSession`] plus its named snapshots and
@@ -590,14 +591,25 @@ pub fn handle_line(state: &mut DaemonState, line: &str) -> Step {
     }
 }
 
+/// Longest request line the daemon reads, newline excluded. The largest
+/// valid request is under 1 KB; a longer line gets one `"ok":false` reply
+/// naming the limit, and its connection is closed.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// First pause after a failed `accept`; each further failure in a row
+/// doubles it, up to [`ACCEPT_BACKOFF_MAX`].
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
+
 /// Binds `socket` and serves connections until a `shutdown` request.
 /// Connections are handled one at a time, in order — the daemon is a
-/// deterministic state machine, not a throughput server.
+/// deterministic state machine, not a throughput server. A failed `accept`
+/// (say, `EMFILE`) is logged to stderr and retried after a short backoff.
 ///
 /// # Errors
 ///
-/// On socket-level failures (bind, write). Protocol-level problems never
-/// surface here; they become `"ok":false` response lines.
+/// When the socket cannot be bound. Protocol-level problems never surface
+/// here; they become `"ok":false` response lines.
 pub fn serve(socket: &Path, base: MachineConfig) -> Result<(), String> {
     if socket.exists() {
         std::fs::remove_file(socket)
@@ -605,28 +617,73 @@ pub fn serve(socket: &Path, base: MachineConfig) -> Result<(), String> {
     }
     let listener =
         UnixListener::bind(socket).map_err(|e| format!("cannot bind {}: {e}", socket.display()))?;
-    let mut state = DaemonState::new(base);
+    serve_connections(&mut DaemonState::new(base), listener.incoming());
+    let _ = std::fs::remove_file(socket);
+    Ok(())
+}
+
+/// The accept loop: serves each connection `incoming` yields, in order,
+/// until one asks for shutdown or `incoming` ends.
+fn serve_connections(
+    state: &mut DaemonState,
+    incoming: impl IntoIterator<Item = io::Result<UnixStream>>,
+) {
+    let mut backoff = ACCEPT_BACKOFF;
+    for stream in incoming {
+        match stream {
+            Ok(stream) => {
+                backoff = ACCEPT_BACKOFF;
+                if serve_connection(state, &stream) {
+                    return;
+                }
+            }
+            Err(e) => {
+                eprintln!("qei-served: accept failed: {e}; retrying in {backoff:?}");
+                std::thread::sleep(backoff);
+                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+            }
+        }
+    }
+}
+
+/// Serves one connection until the client hangs up, sends a line longer
+/// than [`MAX_LINE_BYTES`], or asks for shutdown (returns `true`).
+fn serve_connection(state: &mut DaemonState, stream: &UnixStream) -> bool {
+    let mut reader = BufReader::new(stream);
+    let mut writer = stream;
+    let mut buf = Vec::new();
     loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(e) => return Err(format!("accept failed: {e}")),
+        buf.clear();
+        // One byte past the cap leaves room for the newline.
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match (&mut reader).take(cap).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => return false,
+            Ok(_) => {}
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        if buf.len() > MAX_LINE_BYTES {
+            let reply = Response::error(&format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+            ));
+            let _ = writeln!(writer, "{reply}").and_then(|()| writer.flush());
+            return false;
+        }
+        let step = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => handle_line(state, line),
+            Err(_) => Step::Reply(Response::error("request line is not valid UTF-8")),
         };
-        let reader = BufReader::new(&stream);
-        let mut writer = &stream;
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let step = handle_line(&mut state, &line);
-            let write = writeln!(writer, "{}", step.line()).and_then(|()| writer.flush());
-            if write.is_err() {
-                break; // Client went away; its session state stays warm.
-            }
-            if let Step::Shutdown(_) = step {
-                let _ = std::fs::remove_file(socket);
-                return Ok(());
-            }
+        let write = writeln!(writer, "{}", step.line()).and_then(|()| writer.flush());
+        if write.is_err() {
+            return false; // Client went away; its session state stays warm.
+        }
+        if let Step::Shutdown(_) = step {
+            return true;
         }
     }
 }
@@ -1000,5 +1057,113 @@ mod tests {
         let pong = ok_line(&mut s, "\"op\":\"ping\"");
         assert!(pong.contains("\"ok\":true"));
         ok_line(&mut s, "\"op\":\"digest\",\"session\":\"f\"");
+    }
+
+    /// A ping request padded with JSON whitespace to exactly `len` bytes.
+    fn padded_ping(len: usize) -> String {
+        let head = req("\"op\":\"ping\"");
+        let (open, close) = head.split_at(head.len() - 1);
+        let pad = " ".repeat(len - head.len());
+        format!("{open}{pad}{close}")
+    }
+
+    /// Writes `line` plus a newline on a fresh connection and reads the
+    /// reply, then reads once more: `None` means the daemon closed the
+    /// connection, `Some(next)` that it kept it open (and answered `ping`).
+    fn send_raw(socket: &Path, line: &str) -> (String, Option<String>) {
+        let stream = UnixStream::connect(socket).expect("connect");
+        let mut writer = &stream;
+        writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
+        let mut reader = BufReader::new(&stream);
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        // Whatever the daemon still serves on this connection answers this.
+        let _ = writer.write_all(format!("{}\n", req("\"op\":\"ping\"")).as_bytes());
+        let mut next = String::new();
+        let open = matches!(reader.read_line(&mut next), Ok(n) if n > 0);
+        (reply, open.then_some(next))
+    }
+
+    /// A line one byte over the cap is refused and its connection closed; a
+    /// line exactly at the cap is served; and afterwards the daemon still
+    /// answers new connections with its sessions intact.
+    #[test]
+    fn request_lines_are_capped_and_the_daemon_keeps_serving() {
+        let socket =
+            std::env::temp_dir().join(format!("qei-served-cap-{}.sock", std::process::id()));
+        let path = socket.clone();
+        let daemon = std::thread::spawn(move || serve(&path, MachineConfig::skylake_sp_24()));
+        let mut client = crate::Client::connect(&socket, 50).expect("connect");
+        let built = client
+            .request(&req(
+                "\"op\":\"build\",\"session\":\"a\",\"kind\":\"jvm-gc\",\"p0\":500,\"p1\":20",
+            ))
+            .expect("build");
+        let digest0 = field_u64(&built, "digest");
+        drop(client);
+
+        let (reply, next) = send_raw(&socket, &padded_ping(MAX_LINE_BYTES + 1));
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(reply.contains(&MAX_LINE_BYTES.to_string()), "{reply}");
+        assert_eq!(next, None, "an oversized line closes its connection");
+
+        let (reply, next) = send_raw(&socket, &padded_ping(MAX_LINE_BYTES));
+        assert!(reply.contains("\"ok\":true"), "{reply}");
+        assert!(next.is_some_and(|n| n.contains("\"ok\":true")));
+
+        let mut client = crate::Client::connect(&socket, 50).expect("reconnect");
+        let pong = client.request(&req("\"op\":\"ping\"")).expect("ping");
+        assert!(pong.contains("\"sessions\":1"), "{pong}");
+        let d = client
+            .request(&req("\"op\":\"digest\",\"session\":\"a\""))
+            .expect("digest");
+        assert_eq!(field_u64(&d, "digest"), digest0);
+        client
+            .request(&req("\"op\":\"shutdown\""))
+            .expect("shutdown");
+        daemon
+            .join()
+            .expect("daemon thread")
+            .expect("daemon exited cleanly");
+    }
+
+    /// Feeds `input` to one connection through the accept loop and returns
+    /// everything the daemon replied.
+    fn serve_pair(input: &[u8], incoming: Option<io::Error>) -> String {
+        let (client, server) = UnixStream::pair().expect("socket pair");
+        let mut writer = &client;
+        writer.write_all(input).expect("send");
+        client
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        serve_connections(
+            &mut state(),
+            incoming.map(Err).into_iter().chain([Ok(server)]),
+        );
+        let mut reply = String::new();
+        (&client).read_to_string(&mut reply).expect("reply");
+        reply
+    }
+
+    #[test]
+    fn a_non_utf8_line_gets_an_error_and_the_connection_stays_open() {
+        let ping = req("\"op\":\"ping\"");
+        let input = [b"{\"op\":\"\xff\"}\n".as_slice(), ping.as_bytes(), b"\n"].concat();
+        let reply = serve_pair(&input, None);
+        let lines: Vec<&str> = reply.lines().collect();
+        assert_eq!(lines.len(), 2, "{reply}");
+        assert!(lines[0].contains("\"ok\":false") && lines[0].contains("UTF-8"));
+        assert!(lines[1].contains("\"ok\":true"), "{reply}");
+    }
+
+    #[test]
+    fn a_failed_accept_is_followed_by_a_served_connection() {
+        let ping = format!("{}\n", req("\"op\":\"ping\""));
+        let emfile = io::Error::from_raw_os_error(24);
+        let reply = serve_pair(ping.as_bytes(), Some(emfile));
+        assert!(reply.contains("\"op\":\"ping\""), "{reply}");
+        assert!(reply.contains("\"ok\":true"), "{reply}");
     }
 }

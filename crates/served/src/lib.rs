@@ -23,7 +23,8 @@
 //! Determinism carries over the socket: a `run` request forks the
 //! session's image, so identical seeds produce byte-identical reports
 //! whether a plan executes in-process, in-daemon, or forked from a
-//! snapshot taken hours earlier.
+//! snapshot taken hours earlier. State digests in replies are comparable
+//! only between replies of the same daemon build (see [`protocol`]).
 //!
 //! [`SimSession`]: qei_sim::SimSession
 

@@ -20,6 +20,11 @@
 //! Responses are objects too, `schema` first, then `"ok":true` plus
 //! op-specific fields, or `"ok":false` with an `"error"` string. Multi-line
 //! payloads (report trees) travel as escaped JSON strings.
+//!
+//! The `"digest"` field of `build`, `run`, `mutate`, `snapshot`, `revert`
+//! and `digest` replies names a guest state, but its value is not part of
+//! the wire format: compare digests only between replies of the same
+//! daemon build, and do not store them across upgrades.
 
 use qei_config::json::{self, Value};
 

@@ -469,11 +469,11 @@ impl Engine {
     /// Plans that share a [`WorkloadSpec`] — the sweep/ablation pattern,
     /// where only the mode, scheme, or [`ConfigOverrides`] vary — share one
     /// immutable workload build: the guest image and query stream are built
-    /// once per unique spec (in parallel) and the image is cloned (a flat
-    /// memcpy) per plan, instead of re-deriving it from seeds every time. A
-    /// cloned image is indistinguishable from a fresh build, so the reports
-    /// stay byte-identical to running each plan serially through
-    /// [`Engine::run`].
+    /// once per unique spec (in parallel) and the image is cloned (a
+    /// copy-on-write frame table) per plan, instead of re-deriving it from
+    /// seeds every time. A cloned image is indistinguishable from a fresh
+    /// build, so the reports stay byte-identical to running each plan
+    /// serially through [`Engine::run`].
     pub fn run_all(&self, plans: &[RunPlan]) -> Vec<RunReport> {
         let mut unique: Vec<WorkloadSpec> = Vec::new();
         for plan in plans {

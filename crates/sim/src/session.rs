@@ -8,7 +8,7 @@
 //!
 //! * [`SimSession::build`] — construct the workload image from a
 //!   [`WorkloadSpec`] (the expensive phase, paid once per session);
-//! * [`SimSession::run`] — fork the image (a flat memcpy) and price one
+//! * [`SimSession::run`] — fork the image (a copy-on-write clone) and price one
 //!   mode/scheme/override combination against it. Identical seeds produce
 //!   byte-identical reports whether a plan runs through the batch
 //!   scheduler, a long-lived session, or a daemon holding one
@@ -182,14 +182,16 @@ impl SimSession {
         self.mutator.is_some()
     }
 
-    /// FNV-1a digest of the live guest image and its allocator state.
+    /// Content digest of the live guest image and its allocator state
+    /// ([`qei_mem::GuestMem::state_digest`]).
     pub fn state_digest(&self) -> u64 {
         self.system.guest().state_digest()
     }
 
     /// Forks the live image and prices one run against it: applies
     /// `overrides` to the session's base configuration, clones the guest (a
-    /// flat memcpy), and executes. The session itself is untouched, so any
+    /// copy of its frame table; pages are shared until written), and
+    /// executes. The session itself is untouched, so any
     /// number of forks in any order produce byte-identical reports —
     /// identical to cold-building each plan from its seeds.
     ///
@@ -267,10 +269,13 @@ impl SimSession {
     /// Captures the session's mutable state: the guest image and the
     /// mutator handle, with a content digest for cheap comparison.
     pub fn snapshot(&self) -> SimSnapshot {
+        // Digest first: the clone then carries every frame hash, so a
+        // revert to it rehashes nothing.
+        let digest = self.state_digest();
         SimSnapshot {
             guest: self.system.guest().clone(),
             mutator: self.mutator.as_ref().map(|m| m.clone_box()),
-            digest: self.state_digest(),
+            digest,
         }
     }
 
@@ -461,6 +466,34 @@ mod tests {
             before, after,
             "post-revert run diverged from pre-mutation run"
         );
+    }
+
+    #[test]
+    fn reverts_between_two_snapshots_restore_each_one() {
+        let mut session = SimSession::build(MachineConfig::skylake_sp_24(), jvm_spec());
+        let plan = RunPlan::qei(jvm_spec(), Scheme::CoreIntegrated);
+        // Object ids are 1 + 3i, so every key ≡ 2 (mod 3) is absent.
+        let mut absent = (2..).step_by(3).map(|id: u64| id.to_be_bytes());
+        let mut mutate = |s: &mut SimSession| {
+            let key = absent.next().expect("endless keys");
+            s.mutate_insert(&key, 0xFEED).expect("insert");
+        };
+        let a = session.snapshot();
+        let run_a = session.run_plan(&plan).to_json();
+        mutate(&mut session);
+        let b = session.snapshot();
+        let run_b = session.run_plan(&plan).to_json();
+        mutate(&mut session);
+        assert_ne!(a.digest(), b.digest());
+        assert_ne!(session.state_digest(), b.digest());
+        for (snap, run) in [(&a, &run_a), (&b, &run_b), (&a, &run_a), (&b, &run_b)] {
+            session.restore(snap);
+            assert_eq!(session.state_digest(), snap.digest());
+            assert_eq!(&session.run_plan(&plan).to_json(), run);
+            // Writes after a revert must not leak into the snapshot.
+            mutate(&mut session);
+            assert_ne!(session.state_digest(), snap.digest());
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use qei::accel::walk;
 use qei::cache::MemoryHierarchy;
 use qei::config::SimRng;
 use qei::prelude::*;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Number of randomized cases per property (each case gets its own seed, so
@@ -339,5 +340,55 @@ fn guest_memory_read_write_round_trip() {
         mem.write(base + offset, &data).unwrap();
         let got = mem.read_vec(base + offset, data.len()).unwrap();
         assert_eq!(got, data, "case {case}");
+    }
+}
+
+/// Copy-on-write images digest by content alone. Random writes land across
+/// a pool of forked images, with digests taken mid-history so frame hashes
+/// get cached and then invalidated; at every check, an image digests like a
+/// fresh image that holds the same bytes, copied page by page in shuffled
+/// order. A stale cached hash shows up as a mismatch.
+#[test]
+fn forked_images_digest_like_fresh_copies() {
+    const PAGES: u64 = 24;
+    let page = qei::mem::PAGE_BYTES;
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from_u64(0xC0 * 1000 + case);
+        let blank = || {
+            let mut mem = GuestMem::new(case);
+            let base = mem.alloc(PAGES * page, page).unwrap();
+            (mem, base)
+        };
+        let (root, base) = blank();
+        // Each image with the pages written in its history (a clone
+        // inherits its source's).
+        let mut pool = vec![(root, BTreeSet::new())];
+        let check = |mem: &GuestMem, pages: &BTreeSet<u64>, rng: &mut SimRng| {
+            let (mut copy, _) = blank();
+            let mut order: Vec<u64> = pages.iter().copied().collect();
+            rng.shuffle(&mut order);
+            for p in order {
+                let bytes = mem.read_vec(base + p * page, page as usize).unwrap();
+                copy.write(base + p * page, &bytes).unwrap();
+            }
+            assert_eq!(mem.state_digest(), copy.state_digest(), "case {case}");
+        };
+        for _ in 0..80 {
+            let i = rng.below(pool.len() as u64) as usize;
+            match rng.below(8) {
+                0 if pool.len() < 6 => pool.push(pool[i].clone()),
+                1 | 2 => check(&pool[i].0, &pool[i].1, &mut rng),
+                _ => {
+                    let len = rng.range_inclusive(1, 300);
+                    let off = rng.below(PAGES * page - len);
+                    let data: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+                    pool[i].0.write(base + off, &data).unwrap();
+                    pool[i].1.extend(off / page..=(off + len - 1) / page);
+                }
+            }
+        }
+        for (mem, pages) in &pool {
+            check(mem, pages, &mut rng);
+        }
     }
 }
