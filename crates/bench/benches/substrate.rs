@@ -1,18 +1,25 @@
 //! Micro-benches of the substrate hot paths: guest memory, the query
-//! engines, the core model, and end-to-end query submission. Results land
+//! engines, the timing layers a walk step prices on (NoC, TLB, cache tag
+//! store), the core model, and end-to-end query submission. Results land
 //! in `BENCH_substrate.json`; run with `-- --check <baseline>` to gate on
 //! regressions.
 
 use qei_bench::{checksum, dpdk_fixture, jvm_fixture, BenchSuite};
-use qei_cache::MemoryHierarchy;
-use qei_config::{Cycles, MachineConfig, Scheme};
+use qei_cache::{MemoryHierarchy, SetCache};
+use qei_config::{CacheParams, Cycles, MachineConfig, Scheme, SimRng};
 use qei_core::{run_query, FirmwareStore, QeiAccelerator, QueryRequest, SubmitCtx};
 use qei_cpu::{CoreModel, MemBus, Trace};
 use qei_datastructs::{stage_key, ChainedHash, QueryDs};
-use qei_mem::GuestMem;
+use qei_mem::{GuestMem, Tlb, PAGE_BYTES};
+use qei_noc::{Mesh, Tile};
 use qei_sim::{ConfigOverrides, RunMode, SimSession};
 use std::hint::black_box;
 use std::sync::Arc;
+
+/// Calls per sample in the per-layer benches below: each sample times a
+/// batch, so the timer's own overhead stays out of the figure and the
+/// median in µs reads as ns per call.
+const BATCH: usize = 1_000;
 
 fn bench_guest_memory(suite: &mut BenchSuite) {
     let mut mem = GuestMem::new(1);
@@ -43,6 +50,61 @@ fn bench_guest_fork_and_digest(suite: &mut BenchSuite) {
         v += 1;
         mem.write(line, &[v as u8; 64]).unwrap();
         black_box(mem.state_digest())
+    });
+}
+
+fn bench_guest_compare(suite: &mut BenchSuite) {
+    // A 100-byte key that straddles a page boundary, compared against an
+    // equal query: the comparison runs to the last byte.
+    let mut mem = GuestMem::new(5);
+    let buf = mem.alloc(2 * PAGE_BYTES, 4096).unwrap();
+    let key: Vec<u8> = (0..100u8).collect();
+    let at = buf + PAGE_BYTES - 40;
+    mem.write(at, &key).unwrap();
+    suite.bench("guest_compare/100B", || {
+        for _ in 0..BATCH {
+            black_box(mem.compare(black_box(at), 100, &key).unwrap());
+        }
+    });
+}
+
+fn bench_layer_steps(suite: &mut BenchSuite) {
+    let config = MachineConfig::skylake_sp_24();
+    // Corner to corner: the longest XY route between core tiles (8 links).
+    let mut mesh = Mesh::new(&config);
+    let mut now = 1_000u64;
+    suite.bench("noc_transfer/far", || {
+        for _ in 0..BATCH {
+            now += 50;
+            black_box(mesh.transfer(Tile(0), Tile(23), 64, now));
+        }
+    });
+    // VPN and line streams over twice the structure's capacity: a mix of
+    // hits, fills and evictions.
+    let mut rng = SimRng::seed_from_u64(6);
+    let stlb_entries = u64::from(config.l2_tlb.entries);
+    let vpns: Vec<u64> = (0..4096).map(|_| rng.below(2 * stlb_entries)).collect();
+    let mut tlb = Tlb::new(config.l2_tlb);
+    let mut i = 0;
+    suite.bench("tlb_access/stlb", || {
+        for _ in 0..BATCH {
+            i = (i + 1) % vpns.len();
+            black_box(tlb.access(vpns[i]));
+        }
+    });
+    let slice = CacheParams {
+        size_bytes: config.llc_slice_bytes(),
+        ..config.llc
+    };
+    let slice_lines = slice.size_bytes / u64::from(slice.line_bytes);
+    let lines: Vec<u64> = (0..4096).map(|_| rng.below(2 * slice_lines)).collect();
+    let mut llc = SetCache::new(slice);
+    let mut j = 0;
+    suite.bench("set_cache_access/llc_slice", || {
+        for _ in 0..BATCH {
+            j = (j + 1) % lines.len();
+            black_box(llc.access(lines[j], j % 4 == 0));
+        }
     });
 }
 
@@ -148,6 +210,8 @@ fn main() {
     let mut suite = BenchSuite::from_args("substrate");
     bench_guest_memory(&mut suite);
     bench_guest_fork_and_digest(&mut suite);
+    bench_guest_compare(&mut suite);
+    bench_layer_steps(&mut suite);
     bench_functional_query(&mut suite);
     bench_core_model(&mut suite);
     bench_accel_submission(&mut suite);

@@ -252,9 +252,8 @@ impl MemoryHierarchy {
         let line = pa.line();
         self.stats.l2_accesses += 1;
         let l2_lat = self.l2[core as usize].latency();
-        if self.l2[core as usize].probe(line) {
-            // Genuine hit: refresh LRU via a normal access.
-            let _ = self.l2[core as usize].access(line, write);
+        if self.l2[core as usize].access_if_resident(line, write) {
+            // Genuine hit: LRU refreshed in the same scan that found it.
             return AccessResult {
                 latency: Cycles(l2_lat),
                 level: HitLevel::L2,

@@ -3,40 +3,43 @@
 //!
 //! Storage is a two-level flat arena, like [`qei_mem`]'s physical memory: a
 //! per-set index (`set_slot`, 4 bytes per set, 0 = never touched) points
-//! into dense `tags` / `stamps` / `dirty` arrays that grow by one `ways`-
-//! sized group the first time a set is accessed. Construction therefore
-//! touches memory proportional to the *set count* (a few KB even for a
-//! 33 MB LLC slice), and steady-state accesses are a single forward scan of
-//! at most `ways` contiguous slots — no per-set `Vec`s, no per-access
-//! allocation, no element shifting. Hierarchies are constructed inside
-//! measured runs, so both properties matter: a naive `n_sets * ways` flat
-//! preallocation costs a multi-megabyte zeroing (or, via `alloc_zeroed`,
-//! the same cost again as first-touch page faults) per run.
+//! into one dense `slots` array of `(tag, age << 1 | dirty)` pairs that
+//! grows by one `ways`-sized group the first time a set is accessed.
+//! Construction therefore touches memory proportional to the *set count*
+//! (a few KB even for a 33 MB LLC slice), and steady-state accesses are a
+//! single forward scan of at most `ways` contiguous pairs — no per-set
+//! `Vec`s, no per-access allocation, no element shifting. Hierarchies are
+//! constructed inside measured runs, so both properties matter: a naive
+//! `n_sets * ways` flat preallocation costs a multi-megabyte zeroing (or,
+//! via `alloc_zeroed`, the same cost again as first-touch page faults) per
+//! run.
 //!
 //! Recency is tracked with monotonically increasing age stamps: a hit
 //! restamps its slot, and the miss victim is the slot with the smallest
 //! stamp (an empty slot carries stamp 0, so sets fill before they evict).
-//! This is observationally identical to an MRU-ordered list — the victim is
-//! always the least-recently-accessed line. `tests/lru_equivalence.rs` pins
-//! the equivalence against a reference MRU-list model.
+//! The dirty bit sits below the age, and an empty slot is always clean, so
+//! the smallest packed word is the smallest age. This is observationally
+//! identical to an MRU-ordered list — the victim is always the
+//! least-recently-accessed line. `tests/lru_equivalence.rs` pins the
+//! equivalence against a reference MRU-list model.
 
 use qei_config::{CacheParams, Ratio};
+
+/// An empty slot: a line no physical address reaches (line numbers are
+/// below 2^58) and age 0, clean — the packed word every resident line beats.
+const EMPTY: (u64, u64) = (u64::MAX, 0);
 
 /// One cache's tag array. Data always lives in guest memory (the simulator is
 /// functionally coherent by construction); the cache decides *timing* only.
 #[derive(Debug, Clone)]
 pub struct SetCache {
-    /// Per-set handle into the dense arrays: 0 = set never touched, else
+    /// Per-set handle into `slots`: 0 = set never touched, else
     /// `dense_group + 1` where the set's slots live at
     /// `dense_group * ways ..`.
     set_slot: Box<[u32]>,
-    /// Line address per allocated slot; meaningful only when the slot's
-    /// stamp is non-zero.
-    tags: Vec<u64>,
-    /// Age of each allocated slot's last access (0 = empty slot).
-    stamps: Vec<u64>,
-    /// Dirty flag per allocated slot.
-    dirty: Vec<bool>,
+    /// `(line, age << 1 | dirty)` per allocated slot; empty slots hold
+    /// [`EMPTY`].
+    slots: Vec<(u64, u64)>,
     n_sets: u64,
     /// `n_sets - 1` when the set count is a power of two, else 0 — lets the
     /// common geometry index with a mask instead of a division.
@@ -86,9 +89,7 @@ impl SetCache {
         assert!(n_sets <= u32::MAX as u64, "set count overflows the index");
         SetCache {
             set_slot: vec![0u32; n_sets as usize].into_boxed_slice(),
-            tags: Vec::new(),
-            stamps: Vec::new(),
-            dirty: Vec::new(),
+            slots: Vec::new(),
             n_sets,
             set_mask: if n_sets.is_power_of_two() {
                 n_sets - 1
@@ -116,8 +117,8 @@ impl SetCache {
         }) as usize
     }
 
-    /// Base slot of `line`'s set in the dense arrays, if the set has ever
-    /// been touched.
+    /// Base slot of `line`'s set in `slots`, if the set has ever been
+    /// touched.
     #[inline]
     fn dense_base(&self, line: u64) -> Option<usize> {
         match self.set_slot[self.set_index(line)] {
@@ -133,11 +134,9 @@ impl SetCache {
         let set = self.set_index(line);
         match self.set_slot[set] {
             0 => {
-                let group = self.tags.len() / self.ways;
+                let group = self.slots.len() / self.ways;
                 self.set_slot[set] = group as u32 + 1;
-                self.tags.resize(self.tags.len() + self.ways, 0);
-                self.stamps.resize(self.stamps.len() + self.ways, 0);
-                self.dirty.resize(self.dirty.len() + self.ways, false);
+                self.slots.resize(self.slots.len() + self.ways, EMPTY);
                 group * self.ways
             }
             group => (group as usize - 1) * self.ways,
@@ -148,39 +147,38 @@ impl SetCache {
     /// miss. `write` marks the line dirty. One pass over the set: the same
     /// scan that finds the line also finds the fill/victim slot.
     pub fn access(&mut self, line: u64, write: bool) -> Touch {
+        debug_assert_ne!(line, EMPTY.0, "line out of range");
         let base = self.dense_base_or_alloc(line);
         self.clock += 1;
-        let mut victim = base;
-        let mut victim_stamp = u64::MAX;
-        for idx in base..base + self.ways {
-            let stamp = self.stamps[idx];
-            if stamp != 0 && self.tags[idx] == line {
-                self.stamps[idx] = self.clock;
-                self.dirty[idx] |= write;
+        let set = &mut self.slots[base..base + self.ways];
+        let mut victim = 0;
+        let mut victim_meta = u64::MAX;
+        for (i, slot) in set.iter_mut().enumerate() {
+            let meta = slot.1;
+            if slot.0 == line {
+                slot.1 = (self.clock << 1) | (meta & 1) | u64::from(write);
                 self.stats.accesses.record(true);
                 return Touch {
                     hit: true,
                     writeback: None,
                 };
             }
-            if stamp < victim_stamp {
-                victim_stamp = stamp;
-                victim = idx;
+            if meta < victim_meta {
+                victim_meta = meta;
+                victim = i;
             }
         }
-        // Miss: fill an empty slot if the set has one (stamp 0 always loses
-        // the min-stamp race), otherwise evict the LRU line.
+        // Miss: fill an empty slot if the set has one (age 0 always loses
+        // the min-age race), otherwise evict the LRU line.
         let mut writeback = None;
-        if victim_stamp != 0 {
+        if victim_meta != 0 {
             self.stats.evictions += 1;
-            if self.dirty[victim] {
+            if victim_meta & 1 != 0 {
                 self.stats.writebacks += 1;
-                writeback = Some(self.tags[victim]);
+                writeback = Some(set[victim].0);
             }
         }
-        self.tags[victim] = line;
-        self.stamps[victim] = self.clock;
-        self.dirty[victim] = write;
+        set[victim] = (line, (self.clock << 1) | u64::from(write));
         self.stats.accesses.record(false);
         Touch {
             hit: false,
@@ -188,10 +186,31 @@ impl SetCache {
         }
     }
 
+    /// [`SetCache::access`] for a line that is resident, and nothing for
+    /// one that is not. A hit restamps, marks dirty on `write` and counts
+    /// exactly as `access` does; a miss allocates no set, ticks no clock and
+    /// counts nothing. The set is scanned once. Returns whether the line was
+    /// resident.
+    pub fn access_if_resident(&mut self, line: u64, write: bool) -> bool {
+        let Some(base) = self.dense_base(line) else {
+            return false;
+        };
+        let set = &mut self.slots[base..base + self.ways];
+        let Some(slot) = set.iter_mut().find(|s| s.0 == line) else {
+            return false;
+        };
+        self.clock += 1;
+        slot.1 = (self.clock << 1) | (slot.1 & 1) | u64::from(write);
+        self.stats.accesses.record(true);
+        true
+    }
+
     /// Probes residency without changing state.
     pub fn probe(&self, line: u64) -> bool {
         self.dense_base(line).is_some_and(|base| {
-            (base..base + self.ways).any(|idx| self.stamps[idx] != 0 && self.tags[idx] == line)
+            self.slots[base..base + self.ways]
+                .iter()
+                .any(|&(tag, _)| tag == line)
         })
     }
 
@@ -201,15 +220,15 @@ impl SetCache {
         let Some(base) = self.dense_base(line) else {
             return false;
         };
-        for idx in base..base + self.ways {
-            if self.stamps[idx] != 0 && self.tags[idx] == line {
-                let dirty = self.dirty[idx];
-                self.stamps[idx] = 0;
-                self.dirty[idx] = false;
-                return dirty;
+        let set = &mut self.slots[base..base + self.ways];
+        match set.iter_mut().find(|s| s.0 == line) {
+            Some(slot) => {
+                let dirty = slot.1 & 1 != 0;
+                *slot = EMPTY;
+                dirty
             }
+            None => false,
         }
-        false
     }
 
     /// Accumulated statistics.
@@ -219,7 +238,7 @@ impl SetCache {
 
     /// Number of resident lines (for occupancy assertions in tests).
     pub fn resident_lines(&self) -> usize {
-        self.stamps.iter().filter(|&&s| s != 0).count()
+        self.slots.iter().filter(|&&s| s != EMPTY).count()
     }
 }
 
@@ -296,7 +315,28 @@ mod tests {
         assert!(!c.probe(3));
         assert!(!c.invalidate(3));
         assert_eq!(c.resident_lines(), 0);
-        assert!(c.tags.is_empty(), "read-only paths must not allocate sets");
+        assert!(!c.access_if_resident(3, true));
+        assert!(c.slots.is_empty(), "read-only paths must not allocate sets");
+        assert_eq!(c.stats().accesses.total, 0);
+    }
+
+    #[test]
+    fn access_if_resident_hits_like_access_and_misses_silently() {
+        let mut c = tiny(); // lines 0, 4, 8 share set 0
+        c.access(0, false);
+        c.access(4, false);
+        let clock = c.clock;
+        assert!(!c.access_if_resident(8, true), "absent line");
+        assert_eq!(c.clock, clock, "a miss ticks no clock");
+        assert_eq!(c.stats().accesses.total, 2, "a miss counts nothing");
+        assert!(!c.probe(8), "a miss fills nothing");
+        // A hit refreshes 0 and dirties it, so 4 is now the LRU victim and 0
+        // writes back when it goes.
+        assert!(c.access_if_resident(0, true));
+        assert_eq!(c.stats().accesses.hits, 1);
+        assert_eq!(c.access(8, false).writeback, None, "4 was the LRU line");
+        assert!(!c.probe(4));
+        assert_eq!(c.access(12, false).writeback, Some(0), "0 was dirtied");
     }
 
     #[test]

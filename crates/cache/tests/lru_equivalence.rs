@@ -2,6 +2,9 @@
 //! to a straightforward MRU-ordered-list reference model — same [`Touch`]
 //! sequence (hit/miss and writeback victim), same [`CacheStats`], same
 //! residency — over randomized access streams across several geometries.
+//! The streams mix in the fused read-through touch
+//! ([`SetCache::access_if_resident`]), whose reference is the `probe` then
+//! `access` pair it replaced.
 
 use qei_cache::set_cache::Touch;
 use qei_cache::SetCache;
@@ -83,6 +86,16 @@ impl MruReference {
             .any(|&(l, _)| l == line)
     }
 
+    /// The Core-integrated read-through path before the fused touch: an
+    /// `access` only when a `probe` finds the line.
+    fn access_if_resident(&mut self, line: u64, write: bool) -> bool {
+        if !self.probe(line) {
+            return false;
+        }
+        self.access(line, write);
+        true
+    }
+
     fn resident_lines(&self) -> usize {
         self.sets.iter().map(Vec::len).sum()
     }
@@ -108,6 +121,24 @@ fn assert_equivalent(params: CacheParams, seed: u64, accesses: usize) {
             continue;
         }
         let write = rng.gen_bool(0.3);
+        if rng.gen_bool(0.15) {
+            let before = (flat.stats(), flat.resident_lines());
+            let hit = flat.access_if_resident(line, write);
+            assert_eq!(
+                hit,
+                reference.access_if_resident(line, write),
+                "access_if_resident({line}, {write}) diverged at step {step}"
+            );
+            if !hit {
+                let after = (flat.stats(), flat.resident_lines());
+                assert_eq!(
+                    format!("{after:?}"),
+                    format!("{before:?}"),
+                    "miss changed state"
+                );
+            }
+            continue;
+        }
         let got = flat.access(line, write);
         let want = reference.access(line, write);
         assert_eq!(got, want, "access({line}, {write}) diverged at step {step}");

@@ -28,6 +28,8 @@ pub struct QueryCtx {
     /// (retained pointers, partial results).
     pub scratch: [u64; 8],
     /// Last fetched bytes (the staged cacheline(s) of intermediate data).
+    /// Each Read clears and refills it in place, so one allocation serves
+    /// every Read of the query.
     pub line: Vec<u8>,
     /// Micro-ops executed so far (watchdog input).
     pub steps: u64,

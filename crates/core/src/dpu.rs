@@ -4,12 +4,17 @@
 //! 64-bit chunks per cycle), and the hash unit. This module implements their
 //! *functional* semantics against guest memory; the timing model in
 //! [`crate::accel`] prices the same operations on shared hardware resources.
+//!
+//! Neither memory micro-op allocates: a Read stages its bytes into the
+//! existing allocation of [`QueryCtx::line`] ([`GuestMem::read_into`]), and
+//! a Compare orders guest bytes against the key in place
+//! ([`GuestMem::compare`]), translating every page of its span so it faults
+//! exactly where reading the span would.
 
 use crate::ctx::QueryCtx;
 use crate::fault::FaultCode;
 use crate::uop::{MicroOp, OpOutcome};
 use qei_mem::GuestMem;
-use std::cmp::Ordering;
 
 /// The hash function implemented by the hash unit: a 64-bit mix over the key
 /// bytes, parameterized by a seed. Both the software baselines and the CFAs
@@ -57,23 +62,27 @@ pub fn execute(mem: &GuestMem, ctx: &mut QueryCtx, op: MicroOp) -> Result<OpOutc
             ctx.cost.read_ops += 1;
             ctx.cost.read_bytes += len as u64;
             ctx.cost.mem_lines += span_lines(addr.0, len);
-            ctx.line = mem.read_vec(addr, len as usize).map_err(FaultCode::from)?;
+            mem.read_into(addr, len as usize, &mut ctx.line)
+                .map_err(FaultCode::from)?;
             Ok(OpOutcome::Data)
         }
         MicroOp::Compare { addr, len, key_off } => {
             ctx.cost.compare_ops += 1;
             ctx.cost.compare_bytes += len as u64;
             ctx.cost.mem_lines += span_lines(addr.0, len);
-            let stored = mem.read_vec(addr, len as usize).map_err(FaultCode::from)?;
             // Clamp the key window like the comparator's mux would: an
             // out-of-range offset compares against an empty slice rather
-            // than tripping machine checks.
+            // than tripping machine checks. The stored bytes are ordered
+            // against it memcmp-style, 8 bytes per comparator cycle.
             let start = (key_off as usize).min(ctx.key.len());
             let end = (key_off as usize)
                 .saturating_add(len as usize)
                 .min(ctx.key.len());
             let query = &ctx.key[start..end];
-            Ok(OpOutcome::Cmp(compare_bytes(&stored, query)))
+            let order = mem
+                .compare(addr, len as usize, query)
+                .map_err(FaultCode::from)?;
+            Ok(OpOutcome::Cmp(order))
         }
         MicroOp::Hash { seed } => {
             ctx.cost.hash_ops += 1;
@@ -102,17 +111,12 @@ pub(crate) fn span_lines(addr: u64, len: u32) -> u64 {
     end - start + 1
 }
 
-/// Comparator semantics: lexicographic (memcmp) ordering of stored bytes
-/// against the query slice, processed 8 bytes per comparator cycle.
-pub fn compare_bytes(stored: &[u8], query: &[u8]) -> Ordering {
-    stored.cmp(query)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::header::{DsType, Header};
     use qei_mem::VirtAddr;
+    use std::cmp::Ordering;
 
     fn ctx_with_key(key: &[u8]) -> QueryCtx {
         let header = Header {
@@ -164,6 +168,19 @@ mod tests {
         assert_eq!(out, OpOutcome::Data);
         assert_eq!(&ctx.line, b"node-bytes");
         assert_eq!(ctx.steps, 1);
+    }
+
+    #[test]
+    fn reads_restage_the_line_in_place() {
+        let mut mem = GuestMem::new(4);
+        let p = mem.alloc(64, 64).unwrap();
+        mem.write(p, b"a-longer-first-line").unwrap();
+        let mut ctx = ctx_with_key(b"key");
+        execute(&mem, &mut ctx, MicroOp::Read { addr: p, len: 19 }).unwrap();
+        let buf = ctx.line.as_ptr();
+        execute(&mem, &mut ctx, MicroOp::Read { addr: p, len: 8 }).unwrap();
+        assert_eq!(&ctx.line, b"a-longer", "a shorter Read leaves no tail");
+        assert_eq!(ctx.line.as_ptr(), buf, "the staged allocation is reused");
     }
 
     #[test]

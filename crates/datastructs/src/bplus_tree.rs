@@ -127,11 +127,10 @@ impl BPlusTree {
         mem.read_u16(VirtAddr(node + off)).expect("node readable")
     }
 
+    /// The `i`th key of `node` (stored big-endian, so byte-swapping the
+    /// little-endian word reads it).
     fn node_key(&self, mem: &GuestMem, node: u64, i: usize) -> u64 {
-        let b = mem
-            .read_vec(VirtAddr(node + NODE_KEYS_OFF + (i as u64) * 8), 8)
-            .expect("node readable");
-        u64::from_be_bytes(b.try_into().expect("8 bytes"))
+        baseline::guest_u64(mem, VirtAddr(node + NODE_KEYS_OFF + (i as u64) * 8)).swap_bytes()
     }
 
     fn node_ptr(&self, mem: &GuestMem, node: u64, i: usize) -> u64 {
@@ -386,8 +385,7 @@ impl QueryDs for BPlusTree {
     }
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
-        let key = mem.read_vec(key_addr, 8).expect("key readable");
-        let query = u64::from_be_bytes(key.clone().try_into().expect("8 bytes"));
+        let query = mem.read_u64(key_addr).expect("key readable").swap_bytes();
         baseline::emit_call_overhead(trace);
         let key_dep = baseline::emit_key_stage(trace, key_addr, 8);
         let mut cur_dep = trace.load(self.header_addr, Some(key_dep));

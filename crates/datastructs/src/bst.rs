@@ -156,7 +156,8 @@ impl Bst {
                 succ_parent = Some(succ);
                 succ = l;
             }
-            let succ_key = mem.read_vec(VirtAddr(succ + NODE_KEY_OFF), 8)?;
+            let mut succ_key = [0u8; 8];
+            mem.read(VirtAddr(succ + NODE_KEY_OFF), &mut succ_key)?;
             let succ_val = mem.read_u64(VirtAddr(succ + NODE_VALUE_OFF))?;
             let succ_right = mem.read_u64(VirtAddr(succ + NODE_RIGHT_OFF))?;
             match succ_parent {
@@ -183,9 +184,9 @@ impl Bst {
         Ok(value)
     }
 
+    /// `node`'s key, stored big-endian: the byte-swapped little-endian word.
     fn node_u64(&self, mem: &GuestMem, node: u64) -> Result<u64, MemError> {
-        let b = mem.read_vec(VirtAddr(node + NODE_KEY_OFF), 8)?;
-        Ok(u64::from_be_bytes(b.try_into().expect("8 bytes")))
+        Ok(mem.read_u64(VirtAddr(node + NODE_KEY_OFF))?.swap_bytes())
     }
 
     /// Number of items.
@@ -225,10 +226,7 @@ impl QueryDs for Bst {
         let key = u64::from_be_bytes(key.try_into().expect("BST keys are 8 bytes"));
         let mut cur = self.header.ds_ptr.0;
         while cur != 0 {
-            let ck_bytes = mem
-                .read_vec(VirtAddr(cur + NODE_KEY_OFF), 8)
-                .expect("node readable");
-            let ck = u64::from_be_bytes(ck_bytes.try_into().expect("8 bytes"));
+            let ck = self.node_u64(mem, cur).expect("node readable");
             if ck == key {
                 return baseline::guest_u64(mem, VirtAddr(cur + NODE_VALUE_OFF));
             }
@@ -243,8 +241,10 @@ impl QueryDs for Bst {
     }
 
     fn query_traced(&self, mem: &GuestMem, key_addr: VirtAddr, trace: &mut Trace) -> u64 {
-        let key_bytes = mem.read_vec(key_addr, 8).expect("query key readable");
-        let key = u64::from_be_bytes(key_bytes.clone().try_into().expect("8 bytes"));
+        let key = mem
+            .read_u64(key_addr)
+            .expect("query key readable")
+            .swap_bytes();
 
         baseline::emit_call_overhead(trace);
         baseline::emit_key_stage(trace, key_addr, 8);
@@ -255,10 +255,7 @@ impl QueryDs for Bst {
         while cur != 0 {
             // One node line holds key/value/children.
             let node_load = trace.load(VirtAddr(cur), Some(cur_dep));
-            let ck_bytes = mem
-                .read_vec(VirtAddr(cur + NODE_KEY_OFF), 8)
-                .expect("node readable");
-            let ck = u64::from_be_bytes(ck_bytes.try_into().expect("8 bytes"));
+            let ck = self.node_u64(mem, cur).expect("node readable");
             let cmp = trace.alu(1, Some(node_load), None);
             let matched = ck == key;
             trace.branch(sites::MATCH, matched, Some(cmp));

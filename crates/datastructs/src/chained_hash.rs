@@ -83,7 +83,7 @@ impl ChainedHash {
         let mut existing = None;
         while cur != 0 {
             let key_ptr = mem.read_u64(VirtAddr(cur + 8))?;
-            if mem.read_vec(VirtAddr(key_ptr), key.len())? == key {
+            if mem.bytes_equal(VirtAddr(key_ptr), key)? {
                 existing = Some(cur);
                 break;
             }
@@ -123,7 +123,7 @@ impl ChainedHash {
         let mut cur = mem.read_u64(slot)?;
         while cur != 0 {
             let key_ptr = mem.read_u64(VirtAddr(cur + 8))?;
-            if mem.read_vec(VirtAddr(key_ptr), key.len())? == key {
+            if mem.bytes_equal(VirtAddr(key_ptr), key)? {
                 let value = mem.read_u64(VirtAddr(cur + 16))?;
                 let next = mem.read_u64(VirtAddr(cur))?;
                 epoch_bump(mem, &mut self.header, self.header_addr)?;
@@ -171,10 +171,10 @@ impl QueryDs for ChainedHash {
         let mut cur = baseline::guest_u64(mem, VirtAddr(self.bucket_slot(key)));
         while cur != 0 {
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + 8));
-            let stored = mem
-                .read_vec(VirtAddr(key_ptr), key.len())
-                .expect("chain key readable");
-            if stored == key {
+            if mem
+                .bytes_equal(VirtAddr(key_ptr), key)
+                .expect("chain key readable")
+            {
                 return baseline::guest_u64(mem, VirtAddr(cur + 16));
             }
             cur = baseline::guest_u64(mem, VirtAddr(cur));
@@ -196,13 +196,13 @@ impl QueryDs for ChainedHash {
 
         let mut cur = baseline::guest_u64(mem, slot);
         let mut cur_dep = head_load;
+        let mut stored = Vec::new();
         trace.branch(sites::WALK_LOOP, cur != 0, Some(head_load));
         while cur != 0 {
             let node_load = trace.load(VirtAddr(cur), Some(cur_dep));
             trace.load(VirtAddr(cur + 16), Some(node_load));
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + 8));
-            let stored = mem
-                .read_vec(VirtAddr(key_ptr), key_len)
+            mem.read_into(VirtAddr(key_ptr), key_len, &mut stored)
                 .expect("chain key readable");
             let cmp = baseline::emit_memcmp(
                 trace,

@@ -213,10 +213,10 @@ impl CuckooHash {
                 let ea = self.entry_addr(bucket, e);
                 if baseline::guest_u64(mem, ea) == sig {
                     let kv = baseline::guest_u64(mem, ea + 8);
-                    let stored = mem
-                        .read_vec(VirtAddr(kv + 8), key.len())
-                        .expect("kv key readable");
-                    if stored == key {
+                    if mem
+                        .bytes_equal(VirtAddr(kv + 8), key)
+                        .expect("kv key readable")
+                    {
                         return Some((ea, kv));
                     }
                 }
@@ -243,10 +243,10 @@ impl CuckooHash {
             let ea = self.entry_addr(bucket, e);
             if baseline::guest_u64(mem, ea) == sig {
                 let kv = baseline::guest_u64(mem, ea + 8);
-                let stored = mem
-                    .read_vec(VirtAddr(kv + 8), key.len())
-                    .expect("kv key readable");
-                if stored == key {
+                if mem
+                    .bytes_equal(VirtAddr(kv + 8), key)
+                    .expect("kv key readable")
+                {
                     return baseline::guest_u64(mem, VirtAddr(kv));
                 }
             }
@@ -293,6 +293,7 @@ impl QueryDs for CuckooHash {
 
         let (b1, b2, sig) = self.buckets_of(&key);
         let mut result = 0u64;
+        let mut stored = Vec::new();
         for (which, bucket) in [(0u32, b1), (1u32, b2)] {
             let hash_dep = if which == 0 { h1 } else { h2 };
             // Load the bucket lines (entries*16 bytes).
@@ -315,8 +316,7 @@ impl QueryDs for CuckooHash {
                     // Full key compare through the kv pointer.
                     let kv = baseline::guest_u64(mem, ea + 8);
                     let kv_load = trace.load(ea + 8, Some(bucket_load));
-                    let stored = mem
-                        .read_vec(VirtAddr(kv + 8), key_len)
+                    mem.read_into(VirtAddr(kv + 8), key_len, &mut stored)
                         .expect("kv key readable");
                     let cmp = baseline::emit_memcmp(
                         trace,

@@ -97,8 +97,7 @@ impl LinkedList {
         let mut cur = self.header.ds_ptr.0;
         while cur != 0 {
             let key_ptr = mem.read_u64(VirtAddr(cur + NODE_KEY_PTR_OFF))?;
-            let stored = mem.read_vec(VirtAddr(key_ptr), key.len())?;
-            if stored == key {
+            if mem.bytes_equal(VirtAddr(key_ptr), key)? {
                 let value = mem.read_u64(VirtAddr(cur + NODE_VALUE_OFF))?;
                 let next = mem.read_u64(VirtAddr(cur + NODE_NEXT_OFF))?;
                 epoch_bump(mem, &mut self.header, self.header_addr)?;
@@ -123,10 +122,10 @@ impl LinkedList {
         let mut cur = self.header.ds_ptr.0;
         while cur != 0 {
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + NODE_KEY_PTR_OFF));
-            let stored = mem
-                .read_vec(VirtAddr(key_ptr), key.len())
-                .expect("list key readable");
-            if stored == key {
+            if mem
+                .bytes_equal(VirtAddr(key_ptr), key)
+                .expect("list key readable")
+            {
                 return Some(cur);
             }
             cur = baseline::guest_u64(mem, VirtAddr(cur + NODE_NEXT_OFF));
@@ -164,10 +163,10 @@ impl QueryDs for LinkedList {
         let mut cur = self.header.ds_ptr.0;
         while cur != 0 {
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + NODE_KEY_PTR_OFF));
-            let stored = mem
-                .read_vec(VirtAddr(key_ptr), key.len())
-                .expect("list key readable");
-            if stored == key {
+            if mem
+                .bytes_equal(VirtAddr(key_ptr), key)
+                .expect("list key readable")
+            {
                 return baseline::guest_u64(mem, VirtAddr(cur + NODE_VALUE_OFF));
             }
             cur = baseline::guest_u64(mem, VirtAddr(cur + NODE_NEXT_OFF));
@@ -186,13 +185,13 @@ impl QueryDs for LinkedList {
 
         let mut cur = self.header.ds_ptr.0;
         let mut cur_dep = root_load;
+        let mut stored = Vec::new();
         while cur != 0 {
             // Load the node: next/key_ptr/value (24 B — one or two lines).
             let node_load = trace.load(VirtAddr(cur), Some(cur_dep));
             trace.load(VirtAddr(cur + 16), Some(node_load));
             let key_ptr = baseline::guest_u64(mem, VirtAddr(cur + NODE_KEY_PTR_OFF));
-            let stored = mem
-                .read_vec(VirtAddr(key_ptr), key_len)
+            mem.read_into(VirtAddr(key_ptr), key_len, &mut stored)
                 .expect("list key readable");
             let cmp = baseline::emit_memcmp(
                 trace,

@@ -75,15 +75,16 @@ impl SkipList {
         level
     }
 
-    fn node_key(&self, mem: &GuestMem, node: u64, len: usize) -> Vec<u8> {
+    /// Orders `node`'s key against `key` in place.
+    fn node_cmp(&self, mem: &GuestMem, node: u64, key: &[u8]) -> std::cmp::Ordering {
         let kp = baseline::guest_u64(mem, VirtAddr(node + NODE_KEY_PTR_OFF));
-        mem.read_vec(VirtAddr(kp), len).expect("node key readable")
+        mem.compare(VirtAddr(kp), key.len(), key)
+            .expect("node key readable")
     }
 
     /// Finds the predecessor of `key` at every level. Returns the pred
     /// array and, if the key is present, its node address.
     fn find_preds(&self, mem: &GuestMem, key: &[u8]) -> (Vec<u64>, Option<u64>) {
-        let key_len = key.len();
         let max_level = self.header.aux0;
         let head = self.header.ds_ptr.0;
         let mut preds = vec![head; max_level as usize];
@@ -95,8 +96,7 @@ impl SkipList {
                 if nxt == 0 {
                     break;
                 }
-                let nk = self.node_key(mem, nxt, key_len);
-                match nk.as_slice().cmp(key) {
+                match self.node_cmp(mem, nxt, key) {
                     std::cmp::Ordering::Less => cur = nxt,
                     std::cmp::Ordering::Equal => {
                         found = Some(nxt);
@@ -218,8 +218,7 @@ impl QueryDs for SkipList {
                 if nxt == 0 {
                     break;
                 }
-                let nk = self.node_key(mem, nxt, key.len());
-                match nk.as_slice().cmp(key) {
+                match self.node_cmp(mem, nxt, key) {
                     std::cmp::Ordering::Less => cur = nxt,
                     std::cmp::Ordering::Equal => {
                         return baseline::guest_u64(mem, VirtAddr(nxt + NODE_VALUE_OFF))
@@ -241,6 +240,7 @@ impl QueryDs for SkipList {
 
         let mut cur = self.header.ds_ptr.0;
         let mut cur_dep = head_load;
+        let mut nk = Vec::new();
         for level in (0..self.header.aux0).rev() {
             // Level bookkeeping.
             let lvl_op = trace.alu1(Some(cur_dep));
@@ -261,7 +261,8 @@ impl QueryDs for SkipList {
                 trace.alu_block(8);
                 trace.branch(sites::MATCH + 8, true, Some(decode));
                 let kp = baseline::guest_u64(mem, VirtAddr(nxt + NODE_KEY_PTR_OFF));
-                let nk = mem.read_vec(VirtAddr(kp), key_len).expect("key readable");
+                mem.read_into(VirtAddr(kp), key_len, &mut nk)
+                    .expect("key readable");
                 let cmp =
                     baseline::emit_memcmp(trace, VirtAddr(kp), Some(node_load), &nk, &key, key_len);
                 match nk.as_slice().cmp(&key[..]) {
@@ -407,7 +408,8 @@ mod tests {
         let mut prev: Option<Vec<u8>> = None;
         let mut count = 0;
         while cur != 0 {
-            let k = s.node_key(&mem, cur, 16);
+            let kp = baseline::guest_u64(&mem, VirtAddr(cur + NODE_KEY_PTR_OFF));
+            let k = mem.read_vec(VirtAddr(kp), 16).unwrap();
             if let Some(p) = &prev {
                 assert!(p < &k, "order violated");
             }

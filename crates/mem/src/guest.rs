@@ -7,6 +7,7 @@ use crate::frame::FrameAlloc;
 use crate::phys::PhysMem;
 use crate::space::AddressSpace;
 use std::cell::Cell;
+use std::cmp::Ordering;
 
 /// Sentinel VPN for an empty translation cache (no real VPN reaches 2^52).
 const NO_VPN: u64 = u64::MAX;
@@ -114,6 +115,29 @@ impl GuestMem {
         Ok(pa)
     }
 
+    /// Visits the `len` bytes at `va` as one borrowed piece per page, in
+    /// address order. Every page of the span is translated, whatever
+    /// `visit` does with the pieces; the walk stops at the first page that
+    /// fails, after visiting the pieces before it.
+    #[inline]
+    fn for_each_piece(
+        &self,
+        va: VirtAddr,
+        len: usize,
+        mut visit: impl FnMut(&[u8]),
+    ) -> Result<(), MemError> {
+        let mut addr = va;
+        let mut done = 0usize;
+        while done < len {
+            let pa = self.translate(addr)?;
+            let n = ((PAGE_BYTES - addr.page_offset()) as usize).min(len - done);
+            visit(self.phys.frame_bytes(pa, n));
+            done += n;
+            addr = addr + n as u64;
+        }
+        Ok(())
+    }
+
     /// Reads `buf.len()` bytes at virtual address `va`.
     ///
     /// # Errors
@@ -121,16 +145,51 @@ impl GuestMem {
     /// Propagates translation failures ([`MemError::Unmapped`] /
     /// [`MemError::NullDeref`]).
     pub fn read(&self, va: VirtAddr, buf: &mut [u8]) -> Result<(), MemError> {
-        let mut addr = va;
         let mut done = 0usize;
-        while done < buf.len() {
-            let pa = self.translate(addr)?;
-            let n = ((PAGE_BYTES - addr.page_offset()) as usize).min(buf.len() - done);
-            self.phys.read(pa, &mut buf[done..done + n]);
-            done += n;
-            addr = addr + n as u64;
-        }
-        Ok(())
+        self.for_each_piece(va, buf.len(), |piece| {
+            buf[done..done + piece.len()].copy_from_slice(piece);
+            done += piece.len();
+        })
+    }
+
+    /// Reads `len` bytes at `va` into `buf`, reusing its allocation: the
+    /// buffer is cleared, then extended page by page (no zero-fill first).
+    /// On a fault `buf` holds the bytes of the pages before the failing one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates translation failures.
+    pub fn read_into(&self, va: VirtAddr, len: usize, buf: &mut Vec<u8>) -> Result<(), MemError> {
+        buf.clear();
+        self.for_each_piece(va, len, |piece| buf.extend_from_slice(piece))
+    }
+
+    /// Orders the `len` guest bytes at `va` against `query` like
+    /// `read_vec(va, len)?.cmp(query)` — memcmp order over the common
+    /// prefix, then length — comparing page by page in place. Every page of
+    /// the span is translated even after the order is decided, so a span
+    /// that runs into an unmapped page faults exactly as reading it would.
+    ///
+    /// # Errors
+    ///
+    /// Propagates translation failures.
+    pub fn compare(&self, va: VirtAddr, len: usize, query: &[u8]) -> Result<Ordering, MemError> {
+        let mut order = Ordering::Equal;
+        let mut done = 0usize;
+        self.for_each_piece(va, len, |piece| {
+            if order.is_eq() {
+                let rest = query.get(done..).unwrap_or(&[]);
+                let common = piece.len().min(rest.len());
+                order = piece[..common].cmp(&rest[..common]);
+                if order.is_eq() && common < piece.len() {
+                    // The query ended inside this piece: the stored span is
+                    // the longer one.
+                    order = Ordering::Greater;
+                }
+            }
+            done += piece.len();
+        })?;
+        Ok(order.then(len.cmp(&query.len())))
     }
 
     /// Writes `buf` at virtual address `va`.
@@ -151,12 +210,17 @@ impl GuestMem {
         Ok(())
     }
 
-    /// Reads a little-endian `u64`.
+    /// Reads a little-endian `u64`: one translation and one 8-byte load
+    /// when the word lies inside one page.
     ///
     /// # Errors
     ///
     /// Propagates translation failures.
+    #[inline]
     pub fn read_u64(&self, va: VirtAddr) -> Result<u64, MemError> {
+        if va.page_offset() <= PAGE_BYTES - 8 {
+            return Ok(self.phys.read_u64(self.translate(va)?));
+        }
         let mut b = [0u8; 8];
         self.read(va, &mut b)?;
         Ok(u64::from_le_bytes(b))
@@ -237,8 +301,8 @@ impl GuestMem {
     ///
     /// Propagates translation failures.
     pub fn read_vec(&self, va: VirtAddr, len: usize) -> Result<Vec<u8>, MemError> {
-        let mut v = vec![0u8; len];
-        self.read(va, &mut v)?;
+        let mut v = Vec::with_capacity(len);
+        self.read_into(va, len, &mut v)?;
         Ok(v)
     }
 
@@ -268,15 +332,14 @@ impl GuestMem {
         h
     }
 
-    /// Compares `len` guest bytes at `va` against `expect` (the comparator
-    /// micro-operation's functional semantics).
+    /// Whether the `expect.len()` guest bytes at `va` equal `expect`
+    /// ([`GuestMem::compare`] in place, so it faults like reading them).
     ///
     /// # Errors
     ///
     /// Propagates translation failures.
     pub fn bytes_equal(&self, va: VirtAddr, expect: &[u8]) -> Result<bool, MemError> {
-        let got = self.read_vec(va, expect.len())?;
-        Ok(got == expect)
+        Ok(self.compare(va, expect.len(), expect)?.is_eq())
     }
 }
 

@@ -16,7 +16,7 @@
 //!
 //! [`FrameAlloc`]: crate::FrameAlloc
 
-use crate::addr::{PhysAddr, PAGE_BYTES};
+use crate::addr::{PhysAddr, PAGE_BYTES, PAGE_SHIFT};
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -27,6 +27,9 @@ const MAX_FRAMES: u64 = 1 << 26;
 
 /// The bytes of one frame.
 type Page = [u8; PAGE_BYTES as usize];
+
+/// What an untouched frame reads as.
+static ZERO_PAGE: Page = [0; PAGE_BYTES as usize];
 
 /// One step of the word-wise fold behind frame hashes and the digest. The
 /// multiply carries each bit of `w` upward, and the rotation carries the
@@ -102,18 +105,27 @@ impl PhysMem {
         )
     }
 
+    /// The `n` bytes at `pa`, borrowed in place; an untouched frame reads
+    /// as zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span crosses a frame boundary.
+    #[inline]
+    pub(crate) fn frame_bytes(&self, pa: PhysAddr, n: usize) -> &[u8] {
+        let off = (pa.0 & (PAGE_BYTES - 1)) as usize;
+        let page = self.page(pa.0 >> PAGE_SHIFT).unwrap_or(&ZERO_PAGE);
+        &page[off..off + n]
+    }
+
     /// Reads `buf.len()` bytes starting at `pa`. Untouched memory reads as 0.
     pub fn read(&self, pa: PhysAddr, buf: &mut [u8]) {
         let mut addr = pa.0;
         let mut done = 0usize;
         while done < buf.len() {
-            let pfn = addr >> 12;
             let off = (addr & (PAGE_BYTES - 1)) as usize;
             let n = ((PAGE_BYTES as usize) - off).min(buf.len() - done);
-            match self.page(pfn) {
-                Some(page) => buf[done..done + n].copy_from_slice(&page[off..off + n]),
-                None => buf[done..done + n].fill(0),
-            }
+            buf[done..done + n].copy_from_slice(self.frame_bytes(PhysAddr(addr), n));
             done += n;
             addr += n as u64;
         }
@@ -153,10 +165,16 @@ impl PhysMem {
         h
     }
 
-    /// Reads a little-endian `u64` at `pa`.
+    /// Reads a little-endian `u64` at `pa`: one 8-byte load when the word
+    /// lies inside one frame.
+    #[inline]
     pub fn read_u64(&self, pa: PhysAddr) -> u64 {
         let mut b = [0u8; 8];
-        self.read(pa, &mut b);
+        if pa.page_offset() <= PAGE_BYTES - 8 {
+            b.copy_from_slice(self.frame_bytes(pa, 8));
+        } else {
+            self.read(pa, &mut b);
+        }
         u64::from_le_bytes(b)
     }
 

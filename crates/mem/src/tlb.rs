@@ -5,14 +5,30 @@
 
 use qei_config::{Ratio, TlbParams};
 
+/// An empty slot: a vpn no address reaches (VPNs are below 2^52) and the
+/// stamp every resident entry beats.
+const EMPTY: (u64, u64) = (u64::MAX, 0);
+
 /// One TLB: a timing structure tracking which virtual page numbers are
 /// resident. Translation correctness lives in [`crate::AddressSpace`]; the
 /// TLB only decides whether translation *costs* a page walk.
+///
+/// Storage is one flat slot array allocated at construction, set by set,
+/// with the same recency scheme as `qei-cache`'s `SetCache`: every access
+/// ticks an age clock, a hit restamps its slot, and a miss fills the slot
+/// with the smallest stamp — an empty slot (stamp 0) before any resident
+/// one, else the least recently used. Nothing shifts and nothing allocates
+/// after construction. `tests/tlb_lru_equivalence.rs` pins the equivalence
+/// against an MRU-ordered-list reference model.
 #[derive(Debug, Clone)]
 pub struct Tlb {
-    sets: Vec<Vec<u64>>, // per-set MRU-ordered vpn list (front = MRU)
+    /// `(vpn, stamp)` per slot; set `s` owns `slots[s * ways..(s + 1) * ways]`.
+    /// Empty slots hold [`EMPTY`].
+    slots: Box<[(u64, u64)]>,
     ways: usize,
     set_mask: u64,
+    /// Age counter, incremented once per [`Tlb::access`].
+    clock: u64,
     stats: TlbStats,
 }
 
@@ -43,48 +59,56 @@ impl Tlb {
         let n_sets = (params.entries / params.ways) as usize;
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         Tlb {
-            sets: vec![Vec::with_capacity(params.ways as usize); n_sets],
+            slots: vec![EMPTY; params.entries as usize].into_boxed_slice(),
             ways: params.ways as usize,
             set_mask: n_sets as u64 - 1,
+            clock: 0,
             stats: TlbStats::default(),
         }
     }
 
-    fn set_index(&self, vpn: u64) -> usize {
-        (vpn & self.set_mask) as usize
+    /// The slots of `vpn`'s set.
+    #[inline]
+    fn set(&self, vpn: u64) -> &[(u64, u64)] {
+        let base = (vpn & self.set_mask) as usize * self.ways;
+        &self.slots[base..base + self.ways]
     }
 
     /// Looks up `vpn`, filling on miss. Returns whether it hit.
     pub fn access(&mut self, vpn: u64) -> bool {
-        let ways = self.ways;
-        let idx = self.set_index(vpn);
-        let set = &mut self.sets[idx];
-        if let Some(pos) = set.iter().position(|&v| v == vpn) {
-            let v = set.remove(pos);
-            set.insert(0, v);
-            self.stats.lookups.record(true);
-            true
-        } else {
-            set.insert(0, vpn);
-            if set.len() > ways {
-                set.pop();
-                self.stats.evictions += 1;
+        debug_assert_ne!(vpn, EMPTY.0, "vpn out of range");
+        self.clock += 1;
+        let base = (vpn & self.set_mask) as usize * self.ways;
+        let set = &mut self.slots[base..base + self.ways];
+        let mut victim = 0;
+        let mut victim_stamp = u64::MAX;
+        for (i, slot) in set.iter_mut().enumerate() {
+            if slot.0 == vpn {
+                slot.1 = self.clock;
+                self.stats.lookups.record(true);
+                return true;
             }
-            self.stats.lookups.record(false);
-            false
+            if slot.1 < victim_stamp {
+                victim_stamp = slot.1;
+                victim = i;
+            }
         }
+        if victim_stamp != 0 {
+            self.stats.evictions += 1;
+        }
+        set[victim] = (vpn, self.clock);
+        self.stats.lookups.record(false);
+        false
     }
 
     /// Probes without modifying state (no fill, no LRU update).
     pub fn probe(&self, vpn: u64) -> bool {
-        self.sets[self.set_index(vpn)].contains(&vpn)
+        self.set(vpn).iter().any(|&(v, _)| v == vpn)
     }
 
     /// Invalidates everything (context switch / TLB shootdown).
     pub fn flush(&mut self) {
-        for s in &mut self.sets {
-            s.clear();
-        }
+        self.slots.fill(EMPTY);
         self.stats.flushes += 1;
     }
 
@@ -95,7 +119,7 @@ impl Tlb {
 
     /// Total capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+        self.slots.len()
     }
 }
 

@@ -19,6 +19,8 @@
 #![forbid(unsafe_code)]
 use qei_config::{Cycles, MachineConfig};
 use qei_trace::{Event, EventBuf, EventKind, TRACK_NOC};
+use std::iter::StepBy;
+use std::ops::Range;
 
 /// Identifier of a mesh tile. Tiles `0..cores` are core tiles; the optional
 /// device tile (for Device-based schemes) is tile `cores`.
@@ -58,6 +60,9 @@ pub struct Mesh {
     width: u32,
     height: u32,
     cores: u32,
+    /// `(x, y)` of every tile, the device tile last: built once so routing
+    /// does no division.
+    tile_xy: Box<[(u32, u32)]>,
     hop_latency: u64,
     link_bytes_per_cycle: f64,
     link_bytes: Vec<u64>,
@@ -89,10 +94,17 @@ impl Mesh {
         // Directed links: east + west on each row, south + north in each
         // column.
         let links = 2 * ((width - 1) * height + width * (height - 1)) as usize;
+        // Device tile: the extra row, centre column — a single NoC stop, as
+        // the paper describes for Device-direct.
+        let tile_xy = (0..config.cores)
+            .map(|t| (t % width, t / width))
+            .chain([(width / 2, height - 1)])
+            .collect();
         Mesh {
             width,
             height,
             cores: config.cores,
+            tile_xy,
             hop_latency: config.noc_hop_latency,
             link_bytes_per_cycle: config.noc_link_bytes_per_cycle,
             link_bytes: vec![0; links],
@@ -136,13 +148,9 @@ impl Mesh {
     ///
     /// Panics if the tile id is out of range.
     pub fn coords(&self, t: Tile) -> (u32, u32) {
-        if t.0 == self.cores {
-            // Device tile sits in the extra row, centre column: a single NoC
-            // stop, as the paper describes for Device-direct.
-            (self.width / 2, self.height - 1)
-        } else {
-            assert!(t.0 < self.cores, "tile {} out of range", t.0);
-            (t.0 % self.width, t.0 / self.width)
+        match self.tile_xy.get(t.0 as usize) {
+            Some(&xy) => xy,
+            None => panic!("tile {} out of range", t.0),
         }
     }
 
@@ -164,20 +172,30 @@ impl Mesh {
     ///
     /// `now_cycles` is the simulation time at which the transfer happens; it
     /// is used to convert accumulated per-link byte counts into utilization.
+    ///
+    /// The route is walked in place as two runs of link ids — the row leg
+    /// is contiguous, the column leg strided by the mesh width — keeping
+    /// only the largest load. Congestion prices the most loaded link,
+    /// `min(load / cap, 0.98)`; u64 → f64 conversion, correctly rounded
+    /// division by one positive `cap`, and `min` are all monotone, so the
+    /// utilization of the largest load is the largest per-link utilization:
+    /// one division per priced load (total and own), not one per link.
     pub fn transfer(&mut self, a: Tile, b: Tile, bytes: u64, now_cycles: u64) -> Cycles {
+        let (ax, ay) = self.coords(a);
+        let (bx, by) = self.coords(b);
+        let hops = (ax.abs_diff(bx) + ay.abs_diff(by)) as u64;
         self.stats.messages += 1;
         self.stats.bytes += bytes;
-        let hops = self.hops(a, b) as u64;
         self.stats.hops += hops;
         self.trace
             .emit(now_cycles, TRACK_NOC, EventKind::NocHop, hops, bytes);
         if a == b {
             return Cycles::ZERO;
         }
-        let route = self.route(a, b);
-        let mut worst_util: f64 = 0.0;
-        let mut worst_own_util: f64 = 0.0;
-        for link in route {
+        let (row, column) = self.route_legs((ax, ay), (bx, by));
+        let mut max_load = 0u64;
+        let mut max_own = 0u64;
+        let mut visit = |link: usize| {
             self.link_bytes[link] += bytes;
             if now_cycles > 0 {
                 // Cross-lane mesh sharing: other lanes' warm-up traffic on
@@ -191,20 +209,29 @@ impl Mesh {
                     .and_then(|scaled| scaled.checked_div(self.foreign_horizon))
                     .unwrap_or(0);
                 let own = self.link_bytes[link];
-                let load = own + foreign;
-                let cap = self.link_bytes_per_cycle * now_cycles as f64;
-                worst_util = worst_util.max((load as f64 / cap).min(0.98));
-                worst_own_util = worst_own_util.max((own as f64 / cap).min(0.98));
+                max_load = max_load.max(own + foreign);
+                max_own = max_own.max(own);
             }
-        }
+        };
+        row.for_each(&mut visit);
+        column.for_each(&mut visit);
         let base = hops * self.hop_latency;
+        // M/M/1-flavoured queueing inflation on the most loaded link; none
+        // before any time has elapsed.
+        let inflation = |load: u64| {
+            if now_cycles == 0 {
+                return 0;
+            }
+            let cap = self.link_bytes_per_cycle * now_cycles as f64;
+            let util = 0.0f64.max((load as f64 / cap).min(0.98));
+            (base as f64 * util / (1.0 - util)) as u64
+        };
+        let congestion = inflation(max_load);
+        // The share a private mesh would not have charged is contention.
+        let own_congestion = inflation(max_own);
+        self.foreign_delay_cycles += congestion - own_congestion.min(congestion);
         // Serialization of the payload onto a link (cache line = 64 B).
         let serialize = (bytes as f64 / self.link_bytes_per_cycle).ceil() as u64;
-        // M/M/1-flavoured queueing inflation on the most loaded link.
-        let congestion = (base as f64 * worst_util / (1.0 - worst_util)) as u64;
-        // The share a private mesh would not have charged is contention.
-        let own_congestion = (base as f64 * worst_own_util / (1.0 - worst_own_util)) as u64;
-        self.foreign_delay_cycles += congestion - own_congestion.min(congestion);
         Cycles(base + serialize + congestion)
     }
 
@@ -267,37 +294,35 @@ impl Mesh {
         self.trace.drain()
     }
 
-    /// Dense id of the directed link leaving `(x, y)` one step in `(dx, dy)`.
-    /// Ids partition into four direction classes: east, west, south, north.
-    fn link_id(&self, x: u32, y: u32, dx: i32, dy: i32) -> usize {
+    /// The XY route from `(ax, ay)` to `(bx, by)` as its two legs of dense
+    /// link ids: the row leg (along `ay`) and then the column leg (along
+    /// `bx`). Ids partition into four direction classes — east, west,
+    /// south, north — laid out row-major, so a row leg is a contiguous run
+    /// and a column leg a run strided by the mesh width.
+    fn route_legs(
+        &self,
+        (ax, ay): (u32, u32),
+        (bx, by): (u32, u32),
+    ) -> (Range<usize>, StepBy<Range<usize>>) {
         let (w, h) = (self.width as usize, self.height as usize);
-        let (x, y) = (x as usize, y as usize);
+        let [ax, ay, bx, by] = [ax, ay, bx, by].map(|c| c as usize);
         let east = (w - 1) * h;
         let south = w * (h - 1);
-        match (dx, dy) {
-            (1, 0) => y * (w - 1) + x,
-            (-1, 0) => east + y * (w - 1) + (x - 1),
-            (0, 1) => 2 * east + y * w + x,
-            (0, -1) => 2 * east + south + (y - 1) * w + x,
-            _ => unreachable!("XY routing only moves one step on one axis"),
-        }
-    }
-
-    fn route(&self, a: Tile, b: Tile) -> Vec<usize> {
-        let (mut x, mut y) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        let mut links = Vec::with_capacity(self.hops(a, b) as usize);
-        while x != bx {
-            let dx = if bx > x { 1 } else { -1 };
-            links.push(self.link_id(x, y, dx, 0));
-            x = x.wrapping_add_signed(dx);
-        }
-        while y != by {
-            let dy = if by > y { 1 } else { -1 };
-            links.push(self.link_id(x, y, 0, dy));
-            y = y.wrapping_add_signed(dy);
-        }
-        links
+        // The link leaving `(x, y)` eastward is `y * (w - 1) + x`; westward
+        // from `x + 1`, `east + y * (w - 1) + x`.
+        let row = if bx > ax {
+            ay * (w - 1) + ax..ay * (w - 1) + bx
+        } else {
+            east + ay * (w - 1) + bx..east + ay * (w - 1) + ax
+        };
+        // Southward from `(x, y)`: `2 * east + y * w + x`; northward from
+        // `(x, y + 1)`: `2 * east + south + y * w + x`.
+        let column = if by > ay {
+            2 * east + ay * w + bx..2 * east + by * w + bx
+        } else {
+            2 * east + south + by * w + bx..2 * east + south + ay * w + bx
+        };
+        (row, column.step_by(w))
     }
 }
 

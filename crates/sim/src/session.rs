@@ -547,6 +547,26 @@ mod tests {
     }
 
     #[test]
+    fn first_query_after_revert_starts_like_a_fresh_session() {
+        // A revert discards the interactive lane: the query after it sees
+        // cold caches, TLBs and clock, exactly like a session's first query.
+        let mut fresh = SimSession::build(MachineConfig::skylake_sp_24(), jvm_spec());
+        let first = fresh.query(Scheme::ChaTlb, 3).expect("job in range");
+        let mut session = SimSession::build(MachineConfig::skylake_sp_24(), jvm_spec());
+        let snap = session.snapshot();
+        for job in 0..10 {
+            let (_, result) = session.query(Scheme::ChaTlb, job).expect("job in range");
+            assert!(result.is_ok(), "job {job}");
+        }
+        // Object ids are 1 + 3i, so 2 is absent.
+        session
+            .mutate_insert(&2u64.to_be_bytes(), 0xFEED)
+            .expect("insert");
+        session.restore(&snap);
+        assert_eq!(session.query(Scheme::ChaTlb, 3), Some(first));
+    }
+
+    #[test]
     fn query_is_deterministic_across_sessions() {
         let mut a = SimSession::build(MachineConfig::skylake_sp_24(), jvm_spec());
         let mut b = SimSession::build(MachineConfig::skylake_sp_24(), jvm_spec());

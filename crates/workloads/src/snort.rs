@@ -43,7 +43,10 @@ impl SnortAc {
         assert!(keywords > 0 && text_len >= 16);
         let mut rng = SimRng::seed_from_u64(seed);
         let mut dict: Vec<Vec<u8>> = Vec::with_capacity(keywords);
-        let mut seen = std::collections::HashSet::new();
+        // Ordered, not hashed: a `HashSet` frees its keys in a per-process
+        // random order when dropped, which shifts the heap layout, and with
+        // it the process's peak RSS, from run to run.
+        let mut seen = std::collections::BTreeSet::new();
         while dict.len() < keywords {
             let len = rng.range_inclusive(3, 12);
             let w: Vec<u8> = (0..len)

@@ -343,6 +343,110 @@ fn guest_memory_read_write_round_trip() {
     }
 }
 
+/// The in-place guest accessors agree with reading a fresh copy:
+/// `read_into` fills a reused buffer exactly as `read_vec` returns the
+/// bytes, and `compare` / `bytes_equal` order the span exactly as
+/// `read_vec` then `slice::cmp` / `==` do — the same `MemError` included.
+/// Spans straddle frames, cover untouched (all-zero) frames, and hit an
+/// unmapped first, middle or last page; queries are shorter than, as long
+/// as, and longer than the span.
+#[test]
+fn in_place_reads_and_compares_match_read_vec() {
+    use qei::mem::{MemError, PAGE_BYTES as P};
+    use std::cmp::Ordering;
+    for case in 0..CASES {
+        let mut rng = SimRng::seed_from_u64(0xD1 * 1000 + case);
+        let mut mem = GuestMem::new(case);
+        // Pages a0 a1 a2 | gap | b0 b1: a1 and b1 are mapped but never
+        // written, the gap page is unmapped.
+        let a = mem.alloc(3 * P, 4 * P).unwrap();
+        let b = mem.alloc(2 * P, 4 * P).unwrap();
+        let gap = a + 3 * P;
+        assert_eq!(b, gap + P, "one unmapped page between the regions");
+        for (page, len) in [(a, P), (a + 2 * P, P / 2 + 7), (b, P)] {
+            let data: Vec<u8> = (0..len).map(|_| rng.below(4) as u8).collect();
+            mem.write(page, &data).unwrap();
+        }
+        let mut buf = Vec::new();
+        let mut faults = [0u32; 3]; // first, middle, last page
+        for _ in 0..400 {
+            let va = a + rng.below(6 * P);
+            let len = rng.below(2 * P + 64) as usize;
+            let want = mem.read_vec(va, len);
+            // The reused buffer holds more or fewer bytes than the span.
+            buf.clear();
+            buf.resize(rng.below(len as u64 + 100) as usize, 0xAA);
+            match (mem.read_into(va, len, &mut buf), &want) {
+                (Ok(()), Ok(bytes)) => assert_eq!(&buf, bytes, "case {case} {va}+{len}"),
+                (got, want) => assert_eq!(got, want.clone().map(|_| ()), "case {case}"),
+            }
+            if let Err(MemError::Unmapped(at)) = want {
+                let i = if at == va {
+                    0
+                } else if at.0 + P < va.0 + len as u64 {
+                    1
+                } else {
+                    2
+                };
+                faults[i] += 1;
+            }
+            // A query that is the span's prefix, the span itself, or the
+            // span with a tail, with one byte sometimes changed.
+            let stored = want.clone().unwrap_or_else(|_| vec![0; len]);
+            let mut query = match rng.below(3) {
+                0 => stored[..rng.below(len as u64 + 1) as usize].to_vec(),
+                1 => stored.clone(),
+                _ => [
+                    stored.clone(),
+                    vec![rng.below(4) as u8; 1 + rng.below(9) as usize],
+                ]
+                .concat(),
+            };
+            if !query.is_empty() && rng.gen_bool(0.5) {
+                let at = rng.below(query.len() as u64) as usize;
+                query[at] = rng.below(4) as u8;
+            }
+            let order: Result<Ordering, MemError> = want
+                .as_ref()
+                .map(|v| v.as_slice().cmp(&query[..]))
+                .map_err(|e| *e);
+            assert_eq!(
+                mem.compare(va, len, &query),
+                order,
+                "case {case} {va}+{len}"
+            );
+            let equal = mem.read_vec(va, query.len()).map(|v| v == query);
+            assert_eq!(mem.bytes_equal(va, &query), equal, "case {case} {va}");
+        }
+        assert!(
+            faults.iter().all(|&n| n > 0),
+            "case {case}: faults {faults:?}"
+        );
+        // The order is decided at byte 0, yet the span runs into the gap:
+        // the compare still faults where reading the span would.
+        let first = mem.read_u8(gap - 8).unwrap();
+        assert_eq!(
+            mem.compare(gap - 8, 16, &[first ^ 0xFF; 16]),
+            Err(MemError::Unmapped(gap))
+        );
+        assert_eq!(
+            mem.bytes_equal(gap - 8, &[first ^ 0xFF; 16]),
+            Err(MemError::Unmapped(gap))
+        );
+        // Zero-length spans read nothing, so they never fault, even at
+        // null; a longer one at null does.
+        let null = VirtAddr::NULL;
+        buf.push(1);
+        assert_eq!(mem.read_into(null, 0, &mut buf), Ok(()));
+        assert!(buf.is_empty());
+        assert_eq!(mem.compare(null, 0, b"q"), Ok(Ordering::Less));
+        assert_eq!(mem.compare(gap, 0, b""), Ok(Ordering::Equal));
+        assert_eq!(mem.read_into(null, 4, &mut buf), Err(MemError::NullDeref));
+        assert_eq!(mem.compare(null, 4, b""), Err(MemError::NullDeref));
+        assert_eq!(mem.bytes_equal(null, b"q"), Err(MemError::NullDeref));
+    }
+}
+
 /// Copy-on-write images digest by content alone. Random writes land across
 /// a pool of forked images, with digests taken mid-history so frame hashes
 /// get cached and then invalidated; at every check, an image digests like a
