@@ -6,7 +6,7 @@
 use qei_bench::BenchSuite;
 use qei_config::{AdmissionPolicy, Cycles, LoadSpec};
 use qei_core::FaultCode;
-use qei_serve::{arrivals, run_load, AdmissionQueue, QueryBackend};
+use qei_serve::{arrivals, run_load_lane, AdmissionQueue, QueryBackend};
 use qei_trace::EventBuf;
 use std::hint::black_box;
 
@@ -59,7 +59,7 @@ fn bench_run_load(suite: &mut BenchSuite) {
             free_at: 0,
         };
         let mut events = EventBuf::new();
-        let stats = run_load(&load, 1_024, &mut backend, &mut events);
+        let stats = run_load_lane(&load, &arrivals(&load, 1_024), &mut backend, &mut events);
         black_box(stats.completed() + stats.rejects())
     });
     let stall = LoadSpec {
@@ -72,7 +72,7 @@ fn bench_run_load(suite: &mut BenchSuite) {
             free_at: 0,
         };
         let mut events = EventBuf::new();
-        let stats = run_load(&stall, 1_024, &mut backend, &mut events);
+        let stats = run_load_lane(&stall, &arrivals(&stall, 1_024), &mut backend, &mut events);
         black_box(stats.completed() + stats.stall_cycles())
     });
 }

@@ -7,7 +7,7 @@
 use qei_bench::{checksum, dpdk_fixture, jvm_fixture, BenchSuite};
 use qei_cache::{MemoryHierarchy, SetCache};
 use qei_config::{CacheParams, Cycles, MachineConfig, Scheme, SimRng};
-use qei_core::{run_query, FirmwareStore, QeiAccelerator, QueryRequest, SubmitCtx};
+use qei_core::{run_query, FirmwareStore, QeiAccelerator};
 use qei_cpu::{CoreModel, MemBus, Trace};
 use qei_datastructs::{stage_key, ChainedHash, QueryDs};
 use qei_mem::{GuestMem, Tlb, PAGE_BYTES};
@@ -172,13 +172,8 @@ fn bench_accel_submission(suite: &mut BenchSuite) {
         let mut now = Cycles(0);
         suite.bench(&format!("accel_submit/{}", scheme.label()), || {
             i = (i + 1) % keys.len();
-            let (completion, result) = accel
-                .submit(
-                    QueryRequest::blocking(table.header_addr(), keys[i]),
-                    SubmitCtx::new(now, &mut guest, &mut hier),
-                )
-                .completed()
-                .unwrap();
+            let (completion, result) =
+                accel.query_b(now, table.header_addr(), keys[i], &mut guest, &mut hier);
             now = Cycles(completion.as_u64() % 1_000_000);
             black_box(result.unwrap())
         });
@@ -186,17 +181,17 @@ fn bench_accel_submission(suite: &mut BenchSuite) {
 }
 
 fn bench_full_runs(suite: &mut BenchSuite) {
-    // A one-shot session prices on the fixture's own image: no clone is
-    // timed.
+    // A one-shot session forks its fixture like any other run, so each
+    // sample also times one copy-on-write fork of the image.
     suite.bench_with_setup("full_runs/dpdk_baseline", dpdk_fixture, |(sys, w)| {
         let session = SimSession::adopt(sys, Arc::new(w));
-        let r = session.run_consuming(RunMode::Baseline, None, ConfigOverrides::none(), "bench");
+        let r = session.run(RunMode::Baseline, None, ConfigOverrides::none(), "bench");
         black_box(checksum(&r))
     });
     suite.bench_with_setup("full_runs/jvm_core_integrated", jvm_fixture, |(sys, w)| {
         let session = SimSession::adopt(sys, Arc::new(w));
         let scheme = Some(Scheme::CoreIntegrated);
-        let r = session.run_consuming(
+        let r = session.run(
             RunMode::QeiBlocking,
             scheme,
             ConfigOverrides::none(),

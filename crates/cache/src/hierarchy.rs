@@ -167,16 +167,6 @@ impl MemoryHierarchy {
         self.stats
     }
 
-    /// L1D statistics for one core.
-    pub fn l1_stats(&self, core: u32) -> crate::CacheStats {
-        self.l1d[core as usize].stats()
-    }
-
-    /// L2 statistics for one core.
-    pub fn l2_stats(&self, core: u32) -> crate::CacheStats {
-        self.l2[core as usize].stats()
-    }
-
     /// A core-originated access (software baseline path): L1 → L2 → LLC →
     /// DRAM, with NoC hops from the core tile to the line's home slice.
     pub fn access_core(&mut self, core: u32, pa: PhysAddr, write: bool, now: u64) -> AccessResult {
@@ -203,15 +193,9 @@ impl MemoryHierarchy {
         }
     }
 
-    /// An access entering at the L2 (Core-integrated QEI path): L2 → LLC →
-    /// DRAM. Does not touch the L1.
-    pub fn access_from_l2(
-        &mut self,
-        core: u32,
-        pa: PhysAddr,
-        write: bool,
-        now: u64,
-    ) -> AccessResult {
+    /// The rest of a core access after an L1 miss: L2 → LLC → DRAM. Does
+    /// not touch the L1.
+    fn access_from_l2(&mut self, core: u32, pa: PhysAddr, write: bool, now: u64) -> AccessResult {
         let line = pa.line();
         self.stats.l2_accesses += 1;
         let l2 = self.l2[core as usize].access(line, write);

@@ -35,4 +35,4 @@ pub use machine::{CacheParams, DramParams, MachineConfig, QeiParams, TlbParams};
 pub use registry::{StatValue, StatsRegistry};
 pub use rng::SimRng;
 pub use scheme::{Scheme, SchemeParams};
-pub use stats::{Counter, Histogram, Log2Histogram, Ratio};
+pub use stats::{Log2Histogram, Ratio};

@@ -149,12 +149,6 @@ impl LoadSpec {
         self
     }
 
-    /// Sets the admission queue depth.
-    pub fn with_queue_depth(mut self, depth: u32) -> Self {
-        self.queue_depth = depth;
-        self
-    }
-
     /// Sets the number of core lanes serving the load (scale-out axis).
     pub fn with_cores(mut self, cores: u32) -> Self {
         self.cores = cores;

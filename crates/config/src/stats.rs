@@ -2,55 +2,6 @@
 
 use std::fmt;
 
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// let mut hits = qei_config::Counter::default();
-/// hits.inc();
-/// hits.add(2);
-/// assert_eq!(hits.get(), 3);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n` events.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero.
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 /// A hit/miss style ratio with safe division.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Ratio {
@@ -93,76 +44,6 @@ impl fmt::Display for Ratio {
             self.total,
             self.fraction() * 100.0
         )
-    }
-}
-
-/// A fixed-bucket histogram for latency/occupancy distributions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    bounds: Vec<u64>,
-    counts: Vec<u64>,
-    sum: u64,
-    n: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given ascending bucket upper bounds; a
-    /// final overflow bucket is added automatically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn new(bounds: &[u64]) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        Histogram {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            sum: 0,
-            n: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum += value;
-        self.n += 1;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of recorded samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.n as f64
-        }
-    }
-
-    /// Maximum recorded sample.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Per-bucket counts; the last entry is the overflow bucket.
-    pub fn buckets(&self) -> &[u64] {
-        &self.counts
     }
 }
 
@@ -310,17 +191,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
-        assert_eq!(Counter::default().to_string(), "0");
-    }
-
-    #[test]
     fn ratio_fraction_and_display() {
         let mut r = Ratio::default();
         assert_eq!(r.fraction(), 0.0);
@@ -330,25 +200,6 @@ mod tests {
         assert!((r.fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(r.misses(), 1);
         assert!(r.to_string().contains("2/3"));
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        let mut h = Histogram::new(&[10, 100]);
-        h.record(5);
-        h.record(10);
-        h.record(50);
-        h.record(500);
-        assert_eq!(h.buckets(), &[2, 1, 1]);
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), 500);
-        assert!((h.mean() - 141.25).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn histogram_rejects_bad_bounds() {
-        let _ = Histogram::new(&[10, 10]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! takes the functional engine's exact steps, and prices each of them on
 //! shared hardware resources:
 //!
-//! * **QST slots** bound in-flight queries (backpressure on submit);
+//! * **QST slots** bound in-flight queries (backpressure on dispatch);
 //! * the **CEE issue port** processes one ready entry per cycle per instance;
 //! * **memory micro-ops** pay address translation (scheme-dependent) plus the
 //!   scheme's data-access path through the cache/NoC substrate;
@@ -22,11 +22,16 @@
 //! | CHA-noTLB | one per CHA | round trip to core MMU | LLC slice direct |
 //! | Device-direct | one, own NoC stop | dedicated TLB | NoC to home slice |
 //! | Device-indirect | one, behind device interface | dedicated TLB | NoC + interface latency each access |
-//! | Core-integrated | control at the core's L2 | shared L2-TLB | L2 → LLC; compares remote in CHAs |
+//! | Core-integrated | control at the core's L2 | L2-TLB geometry (own copy) | L2 → LLC; compares remote in CHAs |
+//!
+//! The paper's Core-integrated scheme shares the core's L2-TLB. This model
+//! gives it a private [`Tlb`] with the L2-TLB's geometry instead: the core
+//! model never sees the accelerator's entries, nor the accelerator the
+//! core's.
 
 use crate::ctx::QueryCtx;
 use crate::dpu;
-use crate::fault::{FaultCode, QueryError};
+use crate::fault::{nb_word, FaultCode};
 use crate::firmware::FirmwareStore;
 use crate::qst::QueryStateTable;
 use crate::uop::MicroOp;
@@ -36,118 +41,6 @@ use qei_config::{Cycles, Log2Histogram, MachineConfig, Scheme, TlbParams};
 use qei_mem::{GuestMem, Tlb, VirtAddr};
 use qei_noc::Tile;
 use qei_trace::{qst_track, Event, EventBuf, EventKind, TRACK_ISSUE};
-
-/// A typed query submission: the structure's header, the staged key, and —
-/// for non-blocking `QUERY_NB` — the address the result is stored to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryRequest {
-    /// Address of the 64-byte data-structure header.
-    pub header: VirtAddr,
-    /// Address of the staged key bytes.
-    pub key: VirtAddr,
-    /// `Some(addr)` selects non-blocking `QUERY_NB` (the result is written
-    /// to `addr` on completion); `None` selects blocking `QUERY_B`.
-    pub result: Option<VirtAddr>,
-}
-
-impl QueryRequest {
-    /// A blocking `QUERY_B` request.
-    pub fn blocking(header: VirtAddr, key: VirtAddr) -> Self {
-        QueryRequest {
-            header,
-            key,
-            result: None,
-        }
-    }
-
-    /// A non-blocking `QUERY_NB` request storing its result to `result`.
-    pub fn nonblocking(header: VirtAddr, key: VirtAddr, result: VirtAddr) -> Self {
-        QueryRequest {
-            header,
-            key,
-            result: Some(result),
-        }
-    }
-}
-
-/// Everything a submission needs from the surrounding simulation, bundled so
-/// [`QeiAccelerator::submit`] keeps a two-argument signature.
-#[derive(Debug)]
-pub struct SubmitCtx<'a> {
-    /// Cycle at which the core dispatches the query instruction.
-    pub now: Cycles,
-    /// The guest address space the query walks.
-    pub guest: &'a mut GuestMem,
-    /// The shared cache/NoC substrate the walk is priced on.
-    pub mem: &'a mut MemoryHierarchy,
-}
-
-impl<'a> SubmitCtx<'a> {
-    /// Bundles a submission context.
-    pub fn new(now: Cycles, guest: &'a mut GuestMem, mem: &'a mut MemoryHierarchy) -> Self {
-        SubmitCtx { now, guest, mem }
-    }
-}
-
-/// Unified outcome of a query submission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueryOutcome {
-    /// A blocking query ran to completion: when the result reached the core
-    /// through the Result Queue, and what it was (checked against the
-    /// software baseline in tests) or the delivered exception.
-    Completed {
-        /// Cycle at which the core's query instruction can complete.
-        completion: Cycles,
-        /// The functional result or the delivered exception.
-        result: Result<u64, FaultCode>,
-    },
-    /// A non-blocking query was accepted into the Query Queue; the core
-    /// resumes at `accept`, and the result store lands in memory at `done`.
-    Accepted {
-        /// Cycle the instruction retires (request enqueued).
-        accept: Cycles,
-        /// Cycle the result (or fault code) store reaches memory.
-        done: Cycles,
-    },
-    /// An admission layer refused the submission. The accelerator itself
-    /// never rejects — the QST applies backpressure instead — but the
-    /// serving layer's bounded admission queue does (`qei-serve`).
-    Rejected {
-        /// Earliest cycle the client may retry.
-        retry_at: Cycles,
-    },
-}
-
-impl QueryOutcome {
-    /// The cycle at which the submitting core resumes execution.
-    pub fn resume_at(&self) -> Cycles {
-        match *self {
-            QueryOutcome::Completed { completion, .. } => completion,
-            QueryOutcome::Accepted { accept, .. } => accept,
-            QueryOutcome::Rejected { retry_at } => retry_at,
-        }
-    }
-
-    /// Blocking completion parts, if this outcome is `Completed`.
-    pub fn completed(self) -> Option<(Cycles, Result<u64, FaultCode>)> {
-        match self {
-            QueryOutcome::Completed { completion, result } => Some((completion, result)),
-            _ => None,
-        }
-    }
-
-    /// The error classification, if the query produced no usable result.
-    /// `Accepted` is not an error: the result materializes at `done`.
-    pub fn error(&self) -> Option<QueryError> {
-        match *self {
-            QueryOutcome::Completed {
-                result: Err(code), ..
-            } => Some(QueryError::Fault(code)),
-            QueryOutcome::Rejected { .. } => Some(QueryError::Rejected),
-            _ => None,
-        }
-    }
-}
 
 /// Aggregate accelerator statistics (inputs to the power model and the
 /// occupancy analysis).
@@ -344,8 +237,9 @@ impl QeiAccelerator {
                 .map(|_| Tlb::new(tlb_params(accel_tlb)))
                 .collect(),
             Scheme::ChaNoTlb => Vec::new(),
-            // Core-integrated shares the core's L2-TLB: same geometry, and
-            // its area is *not* charged to QEI (see `qei-power`).
+            // Core-integrated stands in for the core's L2-TLB with a private
+            // TLB of the same geometry (the core model keeps its own); its
+            // area is *not* charged to QEI (see `qei-power`).
             Scheme::CoreIntegrated => vec![Tlb::new(config.l2_tlb)],
             Scheme::DeviceDirect | Scheme::DeviceIndirect => {
                 vec![Tlb::new(tlb_params(accel_tlb))]
@@ -389,12 +283,6 @@ impl QeiAccelerator {
     /// Replaces the firmware store (to exercise firmware updates).
     pub fn firmware_mut(&mut self) -> &mut FirmwareStore {
         &mut self.firmware
-    }
-
-    /// Overrides the Device-indirect per-access interface latency
-    /// (the paper's Fig. 8 sweep: 50–2000 cycles).
-    pub fn set_device_data_latency(&mut self, cycles: u64) {
-        self.hw.device_data_latency = cycles;
     }
 
     /// Ablation: disable the near-data (in-CHA) comparison path — every
@@ -450,34 +338,79 @@ impl QeiAccelerator {
     }
 
     // ------------------------------------------------------------------
-    // Submission
+    // Query instructions
     // ------------------------------------------------------------------
 
-    /// Submits a query. `req.result` selects the instruction flavor:
-    /// `None` dispatches a blocking `QUERY_B` (the outcome is
-    /// [`QueryOutcome::Completed`]); `Some(addr)` dispatches a non-blocking
-    /// `QUERY_NB` whose result is written to `addr` when the query completes
-    /// (the outcome is [`QueryOutcome::Accepted`]). The accelerator never
-    /// returns [`QueryOutcome::Rejected`] — a full QST shows up as
-    /// backpressure folded into the completion time instead.
-    pub fn submit(&mut self, req: QueryRequest, ctx: SubmitCtx<'_>) -> QueryOutcome {
-        let SubmitCtx { now, guest, mem } = ctx;
+    /// Dispatches a blocking `QUERY_B` issued at `now`: returns the cycle
+    /// the result reaches the core through the Result Queue, and the result
+    /// or the delivered exception. A full QST shows up as backpressure
+    /// folded into that cycle; the accelerator never refuses a query.
+    pub fn query_b(
+        &mut self,
+        now: Cycles,
+        header: VirtAddr,
+        key: VirtAddr,
+        guest: &mut GuestMem,
+        mem: &mut MemoryHierarchy,
+    ) -> (Cycles, Result<u64, FaultCode>) {
+        let (qid, done, result) = self.issue(now, header, key, true, guest, mem);
+        let completion = done + Cycles(self.hw.request_latency(mem));
+        self.retire(qid, now, completion, result);
+        (completion, result)
+    }
+
+    /// Dispatches a non-blocking `QUERY_NB` issued at `now`: returns the
+    /// cycle the instruction retires (the request is enqueued) and the cycle
+    /// the result word ([`nb_word`]) reaches `result` in memory.
+    pub fn query_nb(
+        &mut self,
+        now: Cycles,
+        header: VirtAddr,
+        key: VirtAddr,
+        result: VirtAddr,
+        guest: &mut GuestMem,
+        mem: &mut MemoryHierarchy,
+    ) -> (Cycles, Cycles) {
+        let (qid, done, outcome) = self.issue(now, header, key, false, guest, mem);
+        let _ = guest.write_u64(result, nb_word(outcome));
+        let store_done = match guest.translate(result) {
+            Ok(pa) => done + self.hw.data_access(mem, pa, true, done).latency,
+            Err(_) => done,
+        };
+        self.nb_drain = self.nb_drain.max(store_done);
+        self.nb_outstanding.push((result, store_done));
+        self.retire(qid, now, store_done, outcome);
+        (now + Cycles(ENQUEUE_CYCLES), store_done)
+    }
+
+    /// Numbers and walks one query under the pricing hook: returns its
+    /// number, when the walk finished (QST backpressure included) and its
+    /// result.
+    fn issue(
+        &mut self,
+        now: Cycles,
+        header: VirtAddr,
+        key: VirtAddr,
+        blocking: bool,
+        guest: &mut GuestMem,
+        mem: &mut MemoryHierarchy,
+    ) -> (u64, Cycles, Result<u64, FaultCode>) {
         let hw = &mut self.hw;
         let qid = hw.stats.queries;
         hw.stats.queries += 1;
-        let blocking = u64::from(req.result.is_none());
         hw.trace.emit(
             now.as_u64(),
             TRACK_ISSUE,
             EventKind::QueryIssue,
             qid,
-            blocking,
+            u64::from(blocking),
         );
         let mut pricing = Pricing {
             hw,
             guest,
             mem,
-            req,
+            header,
+            key,
             qid,
             now,
             inst: 0,
@@ -486,41 +419,18 @@ impl QeiAccelerator {
             t: now,
             staged: None,
         };
-        let result = walk(&self.firmware, guest, req.header, req.key, &mut pricing).result;
+        let result = walk(&self.firmware, guest, header, key, &mut pricing).result;
         let done = pricing.finish();
-        let hw = &mut self.hw;
         if result.is_err() {
-            hw.stats.faults += 1;
+            self.hw.stats.faults += 1;
         }
-        let (done, outcome) = match req.result {
-            // The result returns to the core through the Result Queue.
-            None => {
-                let completion = done + Cycles(hw.request_latency(mem));
-                (completion, QueryOutcome::Completed { completion, result })
-            }
-            // The instruction retired once the request was enqueued (QST
-            // backpressure is folded into `done`); the result, or the fault
-            // code, is stored to `result_addr` when the query completes.
-            Some(result_addr) => {
-                let wire = match result {
-                    Ok(v) => v.max(1), // completed-but-missing still sets a flag bit
-                    Err(code) => code.encode(),
-                };
-                let _ = guest.write_u64(result_addr, wire);
-                let store_done = match guest.translate(result_addr) {
-                    Ok(pa) => done + hw.data_access(mem, pa, true, done).latency,
-                    Err(_) => done,
-                };
-                self.nb_drain = self.nb_drain.max(store_done);
-                self.nb_outstanding.push((result_addr, store_done));
-                let accept = now + Cycles(ENQUEUE_CYCLES);
-                let outcome = QueryOutcome::Accepted {
-                    accept,
-                    done: store_done,
-                };
-                (store_done, outcome)
-            }
-        };
+        (qid, done, result)
+    }
+
+    /// Records query `qid`, issued at `now`, as delivered at `done`: its
+    /// latency and its trace event.
+    fn retire(&mut self, qid: u64, now: Cycles, done: Cycles, result: Result<u64, FaultCode>) {
+        let hw = &mut self.hw;
         hw.stats.record_latency((done - now).as_u64(), result.err());
         hw.trace.emit(
             done.as_u64(),
@@ -529,7 +439,6 @@ impl QeiAccelerator {
             result.err().map_or(0, |c| c.encode() & 0xFF),
             qid,
         );
-        outcome
     }
 
     /// Flushes the accelerator (interrupt/context switch, §IV-D). Abort codes
@@ -547,7 +456,7 @@ impl QeiAccelerator {
             .filter(|&(_, done)| done > now)
             .collect();
         for (addr, _) in &pending {
-            let _ = guest.write_u64(*addr, FaultCode::Aborted.encode());
+            let _ = guest.write_u64(*addr, nb_word(Err(FaultCode::Aborted)));
             aborted_nb += 1;
         }
         self.hw.stats.nb_aborts += aborted_nb as u64;
@@ -689,7 +598,8 @@ struct Pricing<'a> {
     hw: &'a mut Hardware,
     guest: &'a GuestMem,
     mem: &'a mut MemoryHierarchy,
-    req: QueryRequest,
+    header: VirtAddr,
+    key: VirtAddr,
     qid: u64,
     /// Cycle at which the core dispatched the query.
     now: Cycles,
@@ -710,7 +620,7 @@ struct Pricing<'a> {
 
 impl WalkHook for Pricing<'_> {
     fn admitted(&mut self) {
-        self.inst = self.hw.instance_of(self.mem, self.guest, self.req.key);
+        self.inst = self.hw.instance_of(self.mem, self.guest, self.key);
         // Request flight + QST claim (backpressure if full).
         let arrive = self.now + Cycles(ENQUEUE_CYCLES + self.hw.request_latency(self.mem));
         let (start, slot) = self.hw.qsts[self.inst].claim(arrive);
@@ -725,12 +635,12 @@ impl WalkHook for Pricing<'_> {
         self.start = Some(start);
         self.t = start;
         // Header fetch + parse (one line).
-        let fetch = self.mem_op(self.req.header, 64);
+        let fetch = self.mem_op(self.header, 64);
         self.t += fetch + Cycles(HEADER_PARSE_CYCLES);
     }
 
     fn key_fetched(&mut self, key: &[u8]) {
-        let fetch = self.mem_op(self.req.key, key.len() as u32);
+        let fetch = self.mem_op(self.key, key.len() as u32);
         self.t += fetch;
     }
 
@@ -916,43 +826,6 @@ mod tests {
         kb
     }
 
-    /// Blocking submit through the typed API; panics unless it completed.
-    fn submit_b(
-        accel: &mut QeiAccelerator,
-        now: Cycles,
-        ha: VirtAddr,
-        ka: VirtAddr,
-        guest: &mut GuestMem,
-        hier: &mut MemoryHierarchy,
-    ) -> (Cycles, Result<u64, FaultCode>) {
-        accel
-            .submit(
-                QueryRequest::blocking(ha, ka),
-                SubmitCtx::new(now, guest, hier),
-            )
-            .completed()
-            .unwrap()
-    }
-
-    /// Non-blocking submit through the typed API; returns (accept, done).
-    fn submit_nb(
-        accel: &mut QeiAccelerator,
-        now: Cycles,
-        ha: VirtAddr,
-        ka: VirtAddr,
-        ra: VirtAddr,
-        guest: &mut GuestMem,
-        hier: &mut MemoryHierarchy,
-    ) -> (Cycles, Cycles) {
-        match accel.submit(
-            QueryRequest::nonblocking(ha, ka, ra),
-            SubmitCtx::new(now, guest, hier),
-        ) {
-            QueryOutcome::Accepted { accept, done } => (accept, done),
-            other => panic!("nonblocking submit must be accepted: {other:?}"),
-        }
-    }
-
     #[test]
     fn timing_result_matches_functional_result() {
         let config = MachineConfig::skylake_sp_24();
@@ -965,8 +838,7 @@ mod tests {
             for i in [0u64, 7, 15, 99] {
                 let ka = key_at(&mut guest, i);
                 let functional = run_query(&fw, &guest, ha, ka);
-                let (completion, result) =
-                    submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+                let (completion, result) = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
                 assert_eq!(result, functional, "{scheme}: key {i}");
                 assert!(completion > Cycles(0));
             }
@@ -986,7 +858,7 @@ mod tests {
         let mut serial_span = 0u64;
         for i in 0..8u64 {
             let ka = key_at(&mut guest, i % 12);
-            let (completion, _) = submit_b(&mut accel, t, ha, ka, &mut guest, &mut hier);
+            let (completion, _) = accel.query_b(t, ha, ka, &mut guest, &mut hier);
             serial_span += (completion - t).as_u64();
             t = completion;
         }
@@ -997,7 +869,7 @@ mod tests {
         let mut last = Cycles(0);
         for i in 0..8u64 {
             let ka = key_at(&mut guest, i % 12);
-            let (completion, _) = submit_b(&mut accel2, Cycles(0), ha, ka, &mut guest, &mut hier2);
+            let (completion, _) = accel2.query_b(Cycles(0), ha, ka, &mut guest, &mut hier2);
             last = last.max(completion);
         }
         assert!(
@@ -1017,7 +889,7 @@ mod tests {
         let mut completions = Vec::new();
         for i in 0..40u64 {
             let ka = key_at(&mut guest, 63 - (i % 64));
-            let (completion, _) = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+            let (completion, _) = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
             completions.push(completion.as_u64());
         }
         let max = *completions.iter().max().unwrap();
@@ -1031,13 +903,14 @@ mod tests {
         let config = MachineConfig::skylake_sp_24();
         let mut spans = Vec::new();
         for lat in [50u64, 500, 2000] {
+            let mut config = config.clone();
+            config.qei.device_data_latency = Some(lat);
             let mut guest = GuestMem::new(34);
             let mut hier = MemoryHierarchy::new(&config);
             let mut accel = QeiAccelerator::new(&config, Scheme::DeviceIndirect, 0);
-            accel.set_device_data_latency(lat);
             let ha = build_list(&mut guest, 8);
             let ka = key_at(&mut guest, 7);
-            let (completion, _) = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+            let (completion, _) = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
             spans.push(completion.as_u64());
         }
         assert!(spans[0] < spans[1] && spans[1] < spans[2], "{spans:?}");
@@ -1052,7 +925,7 @@ mod tests {
         let ha = build_list(&mut guest, 8);
         let ka = key_at(&mut guest, 3);
         let ra = guest.alloc(8, 8).unwrap();
-        let (accept, done) = submit_nb(&mut accel, Cycles(5), ha, ka, ra, &mut guest, &mut hier);
+        let (accept, done) = accel.query_nb(Cycles(5), ha, ka, ra, &mut guest, &mut hier);
         assert!(accept >= Cycles(5));
         assert!(done > accept);
         assert!(accel.nb_drain_time() > accept);
@@ -1082,7 +955,7 @@ mod tests {
         header.write_to(&mut guest, ha).unwrap();
         let ka = key_at(&mut guest, 0);
         let ra = guest.alloc(8, 8).unwrap();
-        submit_nb(&mut accel, Cycles(0), ha, ka, ra, &mut guest, &mut hier);
+        accel.query_nb(Cycles(0), ha, ka, ra, &mut guest, &mut hier);
         let wire = guest.read_u64(ra).unwrap();
         assert_eq!(FaultCode::decode(wire), Some(FaultCode::PageFault));
     }
@@ -1097,15 +970,7 @@ mod tests {
         let ra = guest.alloc(8 * 4, 8).unwrap();
         for i in 0..4u64 {
             let ka = key_at(&mut guest, 31 - i);
-            submit_nb(
-                &mut accel,
-                Cycles(0),
-                ha,
-                ka,
-                ra + i * 8,
-                &mut guest,
-                &mut hier,
-            );
+            accel.query_nb(Cycles(0), ha, ka, ra + i * 8, &mut guest, &mut hier);
         }
         // Flush *before* any completion time: everything outstanding aborts.
         let done = accel.flush(Cycles(1), &mut guest);
@@ -1126,7 +991,7 @@ mod tests {
         let ha = build_list(&mut guest, 12);
         for i in 0..12u64 {
             let ka = key_at(&mut guest, i);
-            let _ = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+            let _ = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
         }
         let s = accel.stats();
         // Linked-list keys live out of line; most comparisons travel to a
@@ -1152,7 +1017,7 @@ mod tests {
         // walk must still take compulsory misses on each of them.
         let ha = build_list(&mut guest, 400);
         let ka = key_at(&mut guest, 399);
-        let _ = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+        let _ = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
         let s = accel.stats();
         assert!(s.tlb_misses >= 3, "misses {}", s.tlb_misses);
         assert!(s.tlb_lookups > 100 * s.tlb_misses, "dense pages amortize");
@@ -1168,7 +1033,7 @@ mod tests {
         let mut last = Cycles(0);
         for i in 0..20u64 {
             let ka = key_at(&mut guest, 31 - (i % 32));
-            let (completion, _) = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+            let (completion, _) = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
             last = last.max(completion);
         }
         let occ = accel.qst_occupancy(last);
@@ -1183,13 +1048,13 @@ mod tests {
         let mut accel = QeiAccelerator::new(&config, Scheme::ChaTlb, 0);
         let ha = build_list(&mut guest, 8);
         let ka = key_at(&mut guest, 7);
-        let _ = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+        let _ = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
         let warm_misses = accel.stats().tlb_misses;
         assert!(warm_misses > 0);
         accel.reset_epoch();
         assert_eq!(accel.stats().queries, 0);
         // Same query again: the TLB stayed warm across the epoch.
-        let _ = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+        let _ = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
         assert_eq!(accel.stats().tlb_misses, 0, "TLB must stay warm");
     }
 
@@ -1202,7 +1067,7 @@ mod tests {
         let ha = build_list(&mut guest, 10);
         for i in 0..10u64 {
             let ka = key_at(&mut guest, i);
-            let _ = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+            let _ = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
         }
         let s = accel.stats();
         assert_eq!(s.queries, 10);
@@ -1226,7 +1091,7 @@ mod tests {
         let ha = build_list(&mut guest, 8);
         for i in 0..5u64 {
             let ka = key_at(&mut guest, i);
-            let _ = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+            let _ = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
         }
         let before = accel.stats();
         assert_eq!(before.faults, 0);
@@ -1249,7 +1114,7 @@ mod tests {
         bad.write_to(&mut guest, bha).unwrap();
         for i in 0..3u64 {
             let ka = key_at(&mut guest, i);
-            let (_, result) = submit_b(&mut accel, Cycles(0), bha, ka, &mut guest, &mut hier);
+            let (_, result) = accel.query_b(Cycles(0), bha, ka, &mut guest, &mut hier);
             assert!(result.is_err());
         }
 

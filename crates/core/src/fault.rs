@@ -4,7 +4,8 @@
 //! thread, chasing a corrupt pointer — the query transitions to the
 //! `EXCEPTION` state and one of these codes is delivered: to the core through
 //! the Result Queue for blocking queries, or written to the result address
-//! for non-blocking ones.
+//! for non-blocking ones. This module also owns that result word's format
+//! ([`nb_word`]) and the rule for reading it back ([`nb_word_matches`]).
 
 use qei_mem::MemError;
 use std::error::Error;
@@ -95,50 +96,34 @@ impl fmt::Display for FaultCode {
 
 impl Error for FaultCode {}
 
-/// Why a submitted query produced no usable result. Hardware faults (§IV-D)
-/// and serving-layer refusals are distinct variants so the accelerator's
-/// fault-latency accounting (`accel.fault_latency_*`) and the serving
-/// layer's reject/timeout accounting (`serve.*`) can never be conflated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryError {
-    /// The accelerator delivered an exception code during the walk.
-    Fault(FaultCode),
-    /// The admission queue in front of the accelerator refused the
-    /// submission (bounded queue full under a `Reject`/`TailDrop` policy).
-    Rejected,
-    /// Every retry of a rejected submission was also refused; the client
-    /// exhausted its backoff budget and gave up.
-    TimedOut,
-}
-
-impl From<FaultCode> for QueryError {
-    fn from(code: FaultCode) -> Self {
-        QueryError::Fault(code)
+/// The word a non-blocking `QUERY_NB` stores at its result address: the
+/// result, with [`crate::RESULT_NOT_FOUND`] raised to `1` so that a nonzero
+/// word always means "done", or the fault's [`FaultCode::encode`].
+pub fn nb_word(result: Result<u64, FaultCode>) -> u64 {
+    match result {
+        Ok(v) => v.max(1),
+        Err(code) => code.encode(),
     }
 }
 
-impl fmt::Display for QueryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            QueryError::Fault(code) => code.fmt(f),
-            QueryError::Rejected => f.write_str("query rejected by admission queue"),
-            QueryError::TimedOut => f.write_str("query retries exhausted (timed out)"),
-        }
-    }
-}
-
-impl Error for QueryError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            QueryError::Fault(code) => Some(code),
-            _ => None,
-        }
+/// Reads back a [`nb_word`]: the fault it carries, or whether it is the
+/// word a query returning `expected` stores. A `1` stands for both a found
+/// `1` and [`crate::RESULT_NOT_FOUND`]; a `0` was never written.
+///
+/// # Errors
+///
+/// The fault code, when the word encodes one.
+pub fn nb_word_matches(word: u64, expected: u64) -> Result<bool, FaultCode> {
+    match FaultCode::decode(word) {
+        Some(code) => Err(code),
+        None => Ok(word == nb_word(Ok(expected))),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RESULT_NOT_FOUND;
 
     const ALL: [FaultCode; 7] = [
         FaultCode::PageFault,
@@ -181,16 +166,22 @@ mod tests {
     }
 
     #[test]
-    fn query_error_classification() {
-        let fault = QueryError::from(FaultCode::StepLimit);
-        assert_eq!(fault, QueryError::Fault(FaultCode::StepLimit));
-        assert_ne!(fault, QueryError::Rejected);
-        assert_ne!(QueryError::Rejected, QueryError::TimedOut);
-        for e in [fault, QueryError::Rejected, QueryError::TimedOut] {
-            assert!(!e.to_string().is_empty());
+    fn nb_words_read_back_as_the_delivered_result() {
+        for v in [1, 7, 0x7f00_1234_5678_9abc] {
+            assert_eq!(nb_word(Ok(v)), v);
+            assert_eq!(nb_word_matches(nb_word(Ok(v)), v), Ok(true));
+            assert_eq!(nb_word_matches(nb_word(Ok(v)), v + 1), Ok(false));
         }
-        // Only the hardware variant chains to a FaultCode source.
-        assert!(Error::source(&fault).is_some());
-        assert!(Error::source(&QueryError::Rejected).is_none());
+        // Not-found raises the completion flag and still reads as a miss.
+        assert_eq!(nb_word(Ok(RESULT_NOT_FOUND)), 1);
+        assert_eq!(nb_word_matches(1, RESULT_NOT_FOUND), Ok(true));
+        assert_eq!(nb_word_matches(2, RESULT_NOT_FOUND), Ok(false));
+        // A word never written (zero) is no delivery at all.
+        assert_eq!(nb_word_matches(0, 5), Ok(false));
+        assert_eq!(nb_word_matches(0, RESULT_NOT_FOUND), Ok(false));
+        for f in ALL {
+            assert_eq!(nb_word(Err(f)), f.encode());
+            assert_eq!(nb_word_matches(nb_word(Err(f)), 0), Err(f));
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! B+-tree query CFA — loadable firmware for the in-memory database index
 //! traversals that Meet-the-Walkers-style accelerators target (the paper's
-//! reference [45]).
+//! reference \[45\]).
 //!
 //! Unlike the five built-in CFAs, this program is *not* pre-loaded: it ships
 //! as loadable firmware ([`BTREE_TYPE`] is outside the built-in type range)

@@ -17,15 +17,19 @@
 //!
 //! Queries enter through two instruction flavors: blocking `QUERY_B` (behaves
 //! like a long-latency load) and non-blocking `QUERY_NB` (behaves like a
-//! store; the result is written to a software-supplied address). Software
-//! describes each queried structure with a 64-byte in-memory [`header`].
+//! store; the result word, [`nb_word`], is written to a software-supplied
+//! address). Software describes each queried structure with a 64-byte
+//! in-memory [`header`].
 //!
 //! One driver, [`walk::walk`], runs every query's CFA; a [`walk::WalkHook`]
 //! observes it. The functional engine, [`run_query`], is the no-op hook.
 //! [`accel::QeiAccelerator`] is the timing model: a pricing hook on the same
 //! walk that prices every micro-op against the cache/NoC/TLB substrate under
 //! one of the five [`qei_config::Scheme`] integration schemes. The two
-//! therefore agree step for step by construction.
+//! therefore agree step for step by construction. Its two calls mirror the
+//! instructions: [`QeiAccelerator::query_b`] returns the completion cycle
+//! and the result, [`QeiAccelerator::query_nb`] the retire cycle and the
+//! cycle its result word lands in memory.
 
 #![forbid(unsafe_code)]
 pub mod accel;
@@ -39,10 +43,10 @@ pub mod qst;
 pub mod uop;
 pub mod walk;
 
-pub use accel::{AccelStats, QeiAccelerator, QueryOutcome, QueryRequest, SubmitCtx};
+pub use accel::{AccelStats, QeiAccelerator};
 pub use contract::QueryCost;
 pub use ctx::QueryCtx;
-pub use fault::{FaultCode, QueryError};
+pub use fault::{nb_word, nb_word_matches, FaultCode};
 pub use firmware::{CfaProgram, FirmwareStore};
 pub use header::{bump_epoch, read_epoch, DsType, Header, HEADER_BYTES, HEADER_EPOCH_OFF};
 pub use qst::QueryStateTable;

@@ -159,17 +159,6 @@ impl CoreModel {
         self.trace.drain()
     }
 
-    /// Shared-TLB probe hook used by the Core-integrated accelerator scheme:
-    /// translates through the same L2-TLB the core uses, returning the added
-    /// translation latency.
-    pub fn l2_tlb_translate(&mut self, va: VirtAddr) -> Cycles {
-        if self.stlb.access(va.vpn()) {
-            Cycles(self.config.l2_tlb.hit_latency)
-        } else {
-            Cycles(self.config.l2_tlb.hit_latency + self.config.page_walk_latency)
-        }
-    }
-
     /// Prices `trace` against the bus's memory hierarchy, resolving
     /// accelerator micro-ops and VA→PA translation through the same bus.
     pub fn run(&mut self, trace: &Trace, bus: &mut dyn Bus) -> RunResult {

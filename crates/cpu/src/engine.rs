@@ -69,21 +69,6 @@ impl Bus for MemBus<'_> {
     }
 }
 
-/// A placeholder bus that panics on any use — for traces known to contain
-/// neither memory operations nor accelerator instructions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullEngine;
-
-impl Bus for NullEngine {
-    fn mem(&mut self) -> &mut MemoryHierarchy {
-        panic!("NullEngine has no memory hierarchy");
-    }
-
-    fn translate(&self, _va: VirtAddr) -> Result<PhysAddr, MemError> {
-        panic!("NullEngine has no address space");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,11 +94,5 @@ mod tests {
         );
         assert_eq!(bus.drain_time(), Cycles::ZERO);
         assert!(bus.translate(VirtAddr(0x1000)).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "no memory hierarchy")]
-    fn null_engine_has_no_mem() {
-        NullEngine.mem();
     }
 }

@@ -23,6 +23,6 @@ pub mod predict;
 pub mod trace;
 
 pub use crate::core::{CoreModel, RunResult, StallBreakdown};
-pub use engine::{Bus, MemBus, NullEngine};
+pub use engine::{Bus, MemBus};
 pub use predict::BranchPredictor;
 pub use trace::{Trace, TraceStats, Uop};

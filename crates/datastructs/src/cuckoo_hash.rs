@@ -94,7 +94,7 @@ impl CuckooHash {
 
     /// Effective displacement bound for this table's geometry: the kick
     /// chain visits one slot per step, so a chain longer than the slot count
-    /// is provably cycling. Capped at [`MAX_KICKS`] for big tables.
+    /// is provably cycling. Capped at `MAX_KICKS` for big tables.
     pub fn displacement_bound(&self) -> u64 {
         (self.header.capacity * self.header.aux0).min(MAX_KICKS)
     }

@@ -29,6 +29,6 @@ pub mod shard;
 pub mod stats;
 
 pub use arrival::{arrivals, lane_arrivals, Arrival};
-pub use queue::{run_load, run_load_lane, AdmissionQueue, QueryBackend};
+pub use queue::{run_load_lane, AdmissionQueue, QueryBackend};
 pub use shard::lane_of_tenant;
 pub use stats::{ServeStats, TenantStats};

@@ -12,7 +12,7 @@
 //! execution (and therefore every report byte) is a pure function of the
 //! [`LoadSpec`] and the backend.
 
-use crate::arrival::{arrivals, Arrival};
+use crate::arrival::Arrival;
 use crate::stats::ServeStats;
 use qei_config::{AdmissionPolicy, Cycles, LoadSpec};
 use qei_core::FaultCode;
@@ -141,32 +141,20 @@ fn backoff_after(base: u64, attempt: u32) -> u64 {
         .unwrap_or(u64::MAX)
 }
 
-/// Runs the full load pattern — every tenant, on one admission queue —
-/// against `backend`, emitting admission events into `trace` and returning
-/// the per-tenant statistics. `n_jobs` sizes the workload job list the
-/// arrival process draws from.
+/// Serves `arrivals` on one admission queue in front of `backend`,
+/// emitting admission events into `trace` and returning the per-tenant
+/// statistics. The stream is either the whole load pattern
+/// ([`arrivals`](crate::arrivals)) or one core lane's share of it
+/// ([`lane_arrivals`](crate::lane_arrivals), drawn once and replayed by
+/// every pass over the lane); sharding re-routes queries across lanes
+/// without perturbing any arrival's cycle, job, or seed. The returned
+/// [`ServeStats`] is sized for *all* tenants with only the served tenants
+/// populated, which makes the chip's per-lane merge a disjoint sum.
 ///
 /// Latency is measured client-side: from the *first* arrival of a query
 /// (before any backoff) to the cycle the client observes the result — the
 /// completion itself for blocking `QUERY_B`, or the first `SNAPSHOT_READ`
 /// poll tick at or after the result store for non-blocking `QUERY_NB`.
-pub fn run_load<B: QueryBackend>(
-    load: &LoadSpec,
-    n_jobs: u32,
-    backend: &mut B,
-    trace: &mut EventBuf,
-) -> ServeStats {
-    run_load_lane(load, &arrivals(load, n_jobs), backend, trace)
-}
-
-/// Serves one core lane's share of the load pattern: `arrivals`, the
-/// lane's prepared stream (usually [`lane_arrivals`](crate::lane_arrivals),
-/// drawn once and replayed by every pass over the lane), on a full-depth
-/// admission queue in front of the lane's own backend. Sharding re-routes
-/// queries across lanes without perturbing any arrival's cycle, job, or
-/// seed. The returned [`ServeStats`] is sized for *all* tenants with only
-/// the served tenants populated, which makes the chip's per-lane merge a
-/// disjoint sum. Given the whole stream this is exactly [`run_load`].
 pub fn run_load_lane<B: QueryBackend>(
     load: &LoadSpec,
     arrivals: &[Arrival],
@@ -305,6 +293,7 @@ pub fn run_load_lane<B: QueryBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrival::arrivals;
     use qei_config::Log2Histogram;
 
     /// A single-server backend with a fixed service time: arrivals beyond
@@ -351,7 +340,7 @@ mod tests {
     fn run(load: &LoadSpec, service: u64) -> ServeStats {
         let mut backend = FixedService::new(service);
         let mut trace = EventBuf::new();
-        run_load(load, 8, &mut backend, &mut trace)
+        run_load_lane(load, &arrivals(load, 8), &mut backend, &mut trace)
     }
 
     #[test]
@@ -540,7 +529,7 @@ mod tests {
             finished: false,
         };
         let mut trace = EventBuf::new();
-        let stats = run_load(&load, 8, &mut backend, &mut trace);
+        let stats = run_load_lane(&load, &arrivals(&load, 8), &mut backend, &mut trace);
         assert!(backend.finished, "finish() must be called after the run");
         assert!(backend.writes > 0, "no writes reached the backend");
         assert_eq!(

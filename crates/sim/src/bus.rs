@@ -3,7 +3,7 @@
 
 use qei_cache::MemoryHierarchy;
 use qei_config::Cycles;
-use qei_core::{FaultCode, QeiAccelerator, QueryOutcome, QueryRequest, SubmitCtx};
+use qei_core::{nb_word_matches, FaultCode, QeiAccelerator};
 use qei_cpu::Bus;
 use qei_mem::{GuestMem, MemError, PhysAddr, VirtAddr};
 use qei_workloads::QueryJob;
@@ -57,19 +57,14 @@ impl<'a> QeiBus<'a> {
         &self.accel
     }
 
-    /// Clears recorded results between the warm-up and measured passes.
-    pub fn reset_results(&mut self) {
-        self.blocking_results.clear();
-        self.nb_issued.clear();
-    }
-
     /// Starts the measured epoch: resets timing clocks and statistics in the
     /// hierarchy and the accelerator (cache/TLB contents stay warm) and
-    /// clears recorded results.
+    /// clears the results the warm-up pass recorded.
     pub fn begin_epoch(&mut self) {
         self.mem.reset_epoch();
         self.accel.reset_epoch();
-        self.reset_results();
+        self.blocking_results.clear();
+        self.nb_issued.clear();
     }
 
     /// Takes every buffered trace event on the machine side (accelerator,
@@ -84,8 +79,7 @@ impl<'a> QeiBus<'a> {
 
     /// Checks recorded results against the expected values. For blocking
     /// runs the returned results are compared directly; for non-blocking
-    /// runs the result buffer is read back (`0 → 1` completion-flag encoding
-    /// for not-found).
+    /// runs each result word is read back with [`nb_word_matches`].
     pub fn verify(&self, expected: &[u64], nonblocking: bool) -> bool {
         if nonblocking {
             self.nb_issued.iter().all(|&token| {
@@ -93,8 +87,7 @@ impl<'a> QeiBus<'a> {
                     .guest
                     .read_u64(self.result_buf + token as u64 * 8)
                     .unwrap_or(u64::MAX);
-                let exp = expected[token as usize];
-                wire == exp || (exp == 0 && wire == 1)
+                nb_word_matches(wire, expected[token as usize]) == Ok(true)
             })
         } else {
             self.blocking_results
@@ -120,33 +113,30 @@ impl Bus for QeiBus<'_> {
             return self.accel.nb_drain_time().max(now) + Cycles(1);
         }
         let job = self.jobs[token as usize];
-        let out = self.accel.submit(
-            QueryRequest::blocking(job.header_addr, job.key_addr),
-            SubmitCtx::new(now, self.guest, &mut self.mem),
+        let (completion, result) = self.accel.query_b(
+            now,
+            job.header_addr,
+            job.key_addr,
+            self.guest,
+            &mut self.mem,
         );
-        match out {
-            QueryOutcome::Completed { completion, result } => {
-                self.blocking_results.push((token, result));
-                completion
-            }
-            // A blocking request always runs to completion: the accelerator
-            // never rejects, and `Accepted` only arises for `QUERY_NB`.
-            other => unreachable!("blocking submit returned {other:?}"),
-        }
+        self.blocking_results.push((token, result));
+        completion
     }
 
     fn dispatch_nonblocking(&mut self, now: Cycles, token: u32) -> Cycles {
         let job = self.jobs[token as usize];
-        let out = self.accel.submit(
-            QueryRequest::nonblocking(
-                job.header_addr,
-                job.key_addr,
-                self.result_buf + token as u64 * 8,
-            ),
-            SubmitCtx::new(now, self.guest, &mut self.mem),
+        let slot = self.result_buf + token as u64 * 8;
+        let (accept, _) = self.accel.query_nb(
+            now,
+            job.header_addr,
+            job.key_addr,
+            slot,
+            self.guest,
+            &mut self.mem,
         );
         self.nb_issued.push(token);
-        out.resume_at()
+        accept
     }
 
     fn drain_time(&self) -> Cycles {

@@ -45,7 +45,7 @@ use crate::report::CoreLaneData;
 use crate::scoped_map;
 use qei_cache::{arbitrate, MemStats, MemoryHierarchy, SlicePressure};
 use qei_config::{Cycles, LoadSpec, MachineConfig, Scheme};
-use qei_core::{AccelStats, FaultCode, QeiAccelerator, QueryOutcome, QueryRequest, SubmitCtx};
+use qei_core::{nb_word_matches, AccelStats, FaultCode, QeiAccelerator};
 use qei_mem::{GuestMem, VirtAddr};
 use qei_noc::NocStats;
 use qei_serve::{lane_arrivals, run_load_lane, Arrival, QueryBackend, ServeStats};
@@ -220,13 +220,13 @@ impl QueryBackend for Lane {
         let exp = self.expected[job as usize];
         self.windows.close_expired(&mut self.guest, start.as_u64());
         if self.blocking {
-            let out = self.accel.submit(
-                QueryRequest::blocking(j.header_addr, j.key_addr),
-                SubmitCtx::new(start, &mut self.guest, &mut self.mem),
+            let (completion, result) = self.accel.query_b(
+                start,
+                j.header_addr,
+                j.key_addr,
+                &mut self.guest,
+                &mut self.mem,
             );
-            let QueryOutcome::Completed { completion, result } = out else {
-                unreachable!("blocking submit returned {out:?}")
-            };
             if let Ok(v) = result {
                 assert_eq!(
                     v, exp,
@@ -237,21 +237,23 @@ impl QueryBackend for Lane {
             (completion, result)
         } else {
             let slot = self.result_buf + job as u64 * 8;
-            let out = self.accel.submit(
-                QueryRequest::nonblocking(j.header_addr, j.key_addr, slot),
-                SubmitCtx::new(start, &mut self.guest, &mut self.mem),
+            let (_, done) = self.accel.query_nb(
+                start,
+                j.header_addr,
+                j.key_addr,
+                slot,
+                &mut self.guest,
+                &mut self.mem,
             );
-            let QueryOutcome::Accepted { done, .. } = out else {
-                unreachable!("non-blocking submit returned {out:?}")
-            };
             let wire = self.guest.read_u64(slot).unwrap_or(u64::MAX);
-            if let Some(code) = FaultCode::decode(wire) {
-                // A read that raced a mutation window (or hit a structural
-                // fault) encodes the code at the result address.
-                return (done, Err(code));
-            }
+            // A read that raced a mutation window (or hit a structural
+            // fault) delivers its fault code.
+            let matched = match nb_word_matches(wire, exp) {
+                Ok(matched) => matched,
+                Err(code) => return (done, Err(code)),
+            };
             assert!(
-                wire == exp || (exp == 0 && wire == 1),
+                matched,
                 "served QEI functional mismatch in {}: wire {wire} vs expected {exp}",
                 self.workload
             );

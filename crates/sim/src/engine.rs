@@ -17,7 +17,7 @@
 
 use crate::report::RunReport;
 use crate::session::SimSession;
-use crate::{scoped_map, System, NB_BATCH};
+use crate::{scoped_map, System};
 use qei_config::{LoadSpec, MachineConfig, Scheme};
 use qei_mem::GuestMem;
 use qei_workloads::dpdk::{DpdkFib, TupleSpace};
@@ -90,12 +90,6 @@ pub enum RunMode {
 }
 
 impl RunMode {
-    /// Non-blocking mode at the paper's default poll interval
-    /// ([`NB_BATCH`] keys).
-    pub fn nonblocking_default() -> Self {
-        RunMode::QeiNonblocking { batch: NB_BATCH }
-    }
-
     /// Short machine-readable label (stable across runs; lands in the
     /// stats registry).
     pub fn label(&self) -> &'static str {
@@ -106,13 +100,6 @@ impl RunMode {
             RunMode::LocalCompareAblation => "qei-local-compare",
             RunMode::Served { .. } => "served",
         }
-    }
-
-    /// Whether this mode drives the accelerator at all. A served run only
-    /// does when its plan carries a scheme; without one it serves through
-    /// the calibrated software baseline.
-    pub fn uses_qei(&self) -> bool {
-        !matches!(self, RunMode::Baseline)
     }
 }
 
@@ -453,14 +440,14 @@ impl Engine {
     }
 
     /// Runs one plan: builds a one-shot [`SimSession`] from the plan's
-    /// seeds, applies its overrides, and prices it.
+    /// seeds and forks the plan's run from it.
     ///
     /// # Panics
     ///
     /// Panics if functional results disagree with the workload's ground
     /// truth — that is a simulator bug, not a measurement.
     pub fn run(&self, plan: &RunPlan) -> RunReport {
-        self.price(SimSession::build(self.config.clone(), plan.workload), plan)
+        self.price(&SimSession::build(self.config.clone(), plan.workload), plan)
     }
 
     /// Runs independent plans in parallel (scoped threads, work-stealing by
@@ -501,14 +488,13 @@ impl Engine {
                 Some(plan.workload),
             )
             .with_build_time(started.elapsed());
-            self.price(session, plan)
+            self.price(&session, plan)
         })
     }
 
-    /// Executes `plan` on a one-shot `session` within this engine's worker
-    /// budget.
-    fn price(&self, session: SimSession, plan: &RunPlan) -> RunReport {
-        session.consume(
+    /// Forks `plan`'s run from `session` within this engine's worker budget.
+    fn price(&self, session: &SimSession, plan: &RunPlan) -> RunReport {
+        session.fork_run(
             plan.mode,
             plan.scheme,
             plan.overrides,

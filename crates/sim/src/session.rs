@@ -3,8 +3,8 @@
 //!
 //! A session owns a built (and mutable) guest image plus the workload that
 //! describes it. Daemons and sweeps keep one alive and fork it per run
-//! instead of rebuilding from seeds; the batch scheduler builds one-shot
-//! sessions and consumes them.
+//! instead of rebuilding from seeds; the batch scheduler forks one-shot
+//! sessions the same way.
 //!
 //! * [`SimSession::build`] — construct the workload image from a
 //!   [`WorkloadSpec`] (the expensive phase, paid once per session);
@@ -12,8 +12,7 @@
 //!   mode/scheme/override combination against it. Identical seeds produce
 //!   byte-identical reports whether a plan runs through the batch
 //!   scheduler, a long-lived session, or a daemon holding one
-//!   (`qei-served`). [`SimSession::run_consuming`] prices on the image
-//!   itself, for a session that exists only for one run;
+//!   (`qei-served`);
 //! * [`SimSession::snapshot`] / [`SimSession::restore`] — cheap full-state
 //!   fork points. A snapshot captures the guest image *and* a clone of the
 //!   workload's [`StructureMutator`] handle, so reverting undoes mutations
@@ -31,7 +30,7 @@ use crate::report::RunReport;
 use crate::{exec, System};
 use qei_cache::MemoryHierarchy;
 use qei_config::{Cycles, MachineConfig, Scheme};
-use qei_core::{FaultCode, QeiAccelerator, QueryRequest, SubmitCtx};
+use qei_core::{FaultCode, QeiAccelerator};
 use qei_workloads::{StructureMutator, Workload};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -205,13 +204,7 @@ impl SimSession {
         overrides: ConfigOverrides,
         tag: &str,
     ) -> RunReport {
-        let started = Instant::now();
-        let mut config = self.system.config().clone();
-        overrides.apply(&mut config);
-        let mut sys = System::from_parts(config, self.system.guest().clone());
-        let build = self.build + started.elapsed();
-        let threads = default_threads();
-        exec::execute(&mut sys, self.workload(), mode, scheme, build, tag, threads)
+        self.fork_run(mode, scheme, overrides, tag, default_threads())
     }
 
     /// [`SimSession::run`] with the mode/scheme/overrides/tag taken from a
@@ -221,26 +214,10 @@ impl SimSession {
         self.run(plan.mode, plan.scheme, plan.overrides, &plan.tag())
     }
 
-    /// Consumes the session and executes on its live system without the
-    /// fork clone — for sessions that exist only for this run.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a functional mismatch or an invalid overridden config.
-    pub fn run_consuming(
-        self,
-        mode: RunMode,
-        scheme: Option<Scheme>,
-        overrides: ConfigOverrides,
-        tag: &str,
-    ) -> RunReport {
-        self.consume(mode, scheme, overrides, tag, default_threads())
-    }
-
-    /// [`SimSession::run_consuming`] with an explicit worker budget for a
-    /// served chip's lanes (0 = one per available core, 1 = serial).
-    pub(crate) fn consume(
-        mut self,
+    /// [`SimSession::run`] with an explicit worker budget for a served
+    /// chip's lanes (0 = one per available core, 1 = serial).
+    pub(crate) fn fork_run(
+        &self,
         mode: RunMode,
         scheme: Option<Scheme>,
         overrides: ConfigOverrides,
@@ -248,22 +225,11 @@ impl SimSession {
         threads: usize,
     ) -> RunReport {
         let started = Instant::now();
-        overrides.apply(self.system.config_mut());
-        assert!(
-            self.system.config().validate().is_empty(),
-            "invalid machine config"
-        );
+        let mut config = self.system.config().clone();
+        overrides.apply(&mut config);
+        let mut sys = System::from_parts(config, self.system.guest().clone());
         let build = self.build + started.elapsed();
-        let workload = self.workload.as_ref();
-        exec::execute(
-            &mut self.system,
-            workload,
-            mode,
-            scheme,
-            build,
-            tag,
-            threads,
-        )
+        exec::execute(&mut sys, self.workload(), mode, scheme, build, tag, threads)
     }
 
     /// Captures the session's mutable state: the guest image and the
@@ -302,24 +268,22 @@ impl SimSession {
         job: usize,
     ) -> Option<(Cycles, Result<u64, FaultCode>)> {
         let j = *self.workload.jobs().get(job)?;
-        let rebuild = match &self.interactive {
-            Some(lane) => lane.scheme != scheme,
-            None => true,
-        };
-        if rebuild {
-            self.interactive = Some(Interactive {
+        let lane = match &mut self.interactive {
+            Some(lane) if lane.scheme == scheme => lane,
+            slot => slot.insert(Interactive {
                 scheme,
                 accel: QeiAccelerator::new(self.system.config(), scheme, self.system.core_id()),
                 mem: MemoryHierarchy::new(self.system.config()),
                 now: 0,
-            });
-        }
-        let lane = self.interactive.as_mut()?;
-        let out = lane.accel.submit(
-            QueryRequest::blocking(j.header_addr, j.key_addr),
-            SubmitCtx::new(Cycles(lane.now), self.system.guest_mut(), &mut lane.mem),
+            }),
+        };
+        let (completion, result) = lane.accel.query_b(
+            Cycles(lane.now),
+            j.header_addr,
+            j.key_addr,
+            self.system.guest_mut(),
+            &mut lane.mem,
         );
-        let (completion, result) = out.completed()?;
         lane.now = completion.as_u64();
         Some((completion, result))
     }
@@ -416,7 +380,7 @@ mod tests {
             .iter()
             .map(|p| {
                 SimSession::build(config.clone(), spec)
-                    .run_consuming(p.mode, p.scheme, p.overrides, &p.tag())
+                    .run_plan(p)
                     .to_json()
             })
             .collect();

@@ -1,6 +1,6 @@
 //! Abstract cost interpretation: worst-case per-query resource bounds.
 //!
-//! The explored configuration graph ([`crate::explore`]) records, for every
+//! The explored configuration graph ([`mod@crate::explore`]) records, for every
 //! configuration, the micro-op it emitted — operands included. The cost
 //! analysis abstracts that graph per *CFA state byte*: the abstract value
 //! for a state is the interval `[0, worst]` of what a single execution of

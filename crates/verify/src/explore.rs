@@ -45,14 +45,6 @@ pub enum OpKind {
     Fault,
 }
 
-impl OpKind {
-    /// Whether this op consumes or produces guest data (as opposed to pure
-    /// compute, which can never unblock a stuck automaton by itself).
-    pub fn moves_data(self) -> bool {
-        matches!(self, OpKind::Read | OpKind::Compare)
-    }
-}
-
 /// How one explored configuration resolved.
 #[derive(Debug, Clone)]
 pub enum ConfigEnd {

@@ -1,7 +1,7 @@
 //! Differential invariant fuzzing over the mutable structures, with
 //! shrinking.
 //!
-//! The static explorer ([`crate::explore`]) proves properties of the CFAs
+//! The static explorer ([`mod@crate::explore`]) proves properties of the CFAs
 //! against *abstract* memory shapes; this module attacks the complementary
 //! surface: the **builders and mutators** in `qei-datastructs`. A campaign
 //! drives seeded random op sequences (insert / remove / query over a small

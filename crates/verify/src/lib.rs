@@ -188,45 +188,42 @@ pub fn verify_program(program: &dyn CfaProgram, model: &StructureModel) -> Progr
     }
 }
 
-/// Verifies every program installed in a [`qei_core::FirmwareStore`] that
-/// ships with the workspace: the seven built-ins plus the loadable B+-tree.
-pub fn verify_all() -> VerifyReport {
+/// Calls `f` on every program that ships with the workspace — the seven
+/// built-ins plus the loadable B+-tree — in `(dtype, subtype)` order, each
+/// with its dedicated structure model, or the generic model when it has
+/// none, and collects the results.
+fn for_each_shipped<T>(mut f: impl FnMut(&dyn CfaProgram, &StructureModel) -> T) -> Vec<T> {
     let mut fw = qei_core::FirmwareStore::with_builtins();
     fw.register(BTREE_TYPE, 0, Arc::new(BPlusTreeCfa));
     let models = builtin_models();
-    let mut programs = Vec::new();
+    let mut out = Vec::new();
     for ((dtype, subtype), program) in fw.iter() {
         let dedicated = models
             .iter()
             .find(|m| m.dtype == dtype && m.subtype == subtype);
-        let report = match dedicated {
-            Some(model) => verify_program(program.as_ref(), model),
-            None => verify_program(program.as_ref(), &generic_model(dtype, subtype)),
+        let item = match dedicated {
+            Some(model) => f(program.as_ref(), model),
+            None => f(program.as_ref(), &generic_model(dtype, subtype)),
         };
-        programs.push(report);
+        out.push(item);
     }
-    VerifyReport { programs }
+    out
 }
 
-/// Derives the cost contract for every shipped program (the seven built-ins
-/// plus the loadable B+-tree), in `(dtype, subtype)` order. This is the
-/// content of the committed `CONTRACTS.json` artifact.
-pub fn contracts_all() -> ContractSet {
-    let mut fw = qei_core::FirmwareStore::with_builtins();
-    fw.register(BTREE_TYPE, 0, Arc::new(BPlusTreeCfa));
-    let models = builtin_models();
-    let mut contracts = Vec::new();
-    for ((dtype, subtype), program) in fw.iter() {
-        let dedicated = models
-            .iter()
-            .find(|m| m.dtype == dtype && m.subtype == subtype);
-        let c = match dedicated {
-            Some(model) => cost::analyze(program.as_ref(), model),
-            None => cost::analyze(program.as_ref(), &generic_model(dtype, subtype)),
-        };
-        contracts.push(c);
+/// Verifies every shipped program.
+pub fn verify_all() -> VerifyReport {
+    VerifyReport {
+        programs: for_each_shipped(verify_program),
     }
-    ContractSet { contracts }
+}
+
+/// Derives the cost contract for every shipped program, in `(dtype,
+/// subtype)` order. This is the content of the committed `CONTRACTS.json`
+/// artifact.
+pub fn contracts_all() -> ContractSet {
+    ContractSet {
+        contracts: for_each_shipped(cost::analyze),
+    }
 }
 
 /// Installs the shipped contracts into `qei-core`'s runtime checker

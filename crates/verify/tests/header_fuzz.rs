@@ -14,7 +14,7 @@
 use qei_cache::MemoryHierarchy;
 use qei_config::{Cycles, MachineConfig, Scheme, SimRng};
 use qei_core::firmware::btree::{BPlusTreeCfa, BTREE_TYPE};
-use qei_core::{run_query, FirmwareStore, QeiAccelerator, QueryRequest, SubmitCtx, HEADER_BYTES};
+use qei_core::{run_query, FirmwareStore, QeiAccelerator, HEADER_BYTES};
 use qei_datastructs::{
     stage_key, AcTrie, BPlusTree, Bst, ChainedHash, CuckooHash, LinkedList, LpmTrie, QueryDs,
     SkipList,
@@ -55,11 +55,7 @@ fn query_everywhere(
 ) {
     let expected = run_query(fw, mem, header_addr, key_addr);
     for (accel, hier) in timed.iter_mut() {
-        let outcome = accel.submit(
-            QueryRequest::blocking(header_addr, key_addr),
-            SubmitCtx::new(Cycles(0), mem, hier),
-        );
-        let (_, result) = outcome.completed().expect("blocking queries complete");
+        let (_, result) = accel.query_b(Cycles(0), header_addr, key_addr, mem, hier);
         assert_eq!(result, expected, "{}", accel.scheme());
     }
 }

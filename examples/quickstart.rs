@@ -42,13 +42,13 @@ fn main() {
     let mut hierarchy = qei::cache::MemoryHierarchy::new(sys.config());
     let mut accel = QeiAccelerator::new(sys.config(), Scheme::CoreIntegrated, 0);
     let key2 = stage_key(sys.guest_mut(), b"user-sess-000777");
-    let (completion, result) = accel
-        .submit(
-            QueryRequest::blocking(table.header_addr(), key2),
-            SubmitCtx::new(Cycles(0), sys.guest_mut(), &mut hierarchy),
-        )
-        .completed()
-        .expect("blocking submit completes");
+    let (completion, result) = accel.query_b(
+        Cycles(0),
+        table.header_addr(),
+        key2,
+        sys.guest_mut(),
+        &mut hierarchy,
+    );
     println!(
         "QUERY_B user-sess-000777 -> {:?} in {} (scheme: {})",
         result,

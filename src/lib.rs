@@ -67,8 +67,8 @@ pub use qei_workloads as workloads;
 pub mod prelude {
     pub use qei_config::{AdmissionPolicy, Cycles, LoadSpec, MachineConfig, Scheme};
     pub use qei_core::{
-        run_query, DsType, FaultCode, FirmwareStore, Header, QeiAccelerator, QueryError,
-        QueryOutcome, QueryRequest, SubmitCtx, RESULT_NOT_FOUND,
+        nb_word_matches, run_query, DsType, FaultCode, FirmwareStore, Header, QeiAccelerator,
+        RESULT_NOT_FOUND,
     };
     pub use qei_datastructs::{
         stage_key, AcTrie, BPlusTree, Bst, ChainedHash, CuckooHash, LinkedList, LpmTrie, QueryDs,

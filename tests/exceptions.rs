@@ -11,24 +11,6 @@ fn machine() -> (MachineConfig, GuestMem, MemoryHierarchy) {
     (config, guest, hier)
 }
 
-/// Blocking submit through the typed API; panics unless it completed.
-fn submit_b(
-    accel: &mut QeiAccelerator,
-    now: Cycles,
-    ha: VirtAddr,
-    ka: VirtAddr,
-    guest: &mut GuestMem,
-    hier: &mut MemoryHierarchy,
-) -> (Cycles, Result<u64, FaultCode>) {
-    accel
-        .submit(
-            QueryRequest::blocking(ha, ka),
-            SubmitCtx::new(now, guest, hier),
-        )
-        .completed()
-        .unwrap()
-}
-
 fn list_with_items(guest: &mut GuestMem, n: u64) -> LinkedList {
     let mut list = LinkedList::new(guest, 8).unwrap();
     for i in 0..n {
@@ -64,7 +46,7 @@ fn submit_fresh(
 ) -> (Cycles, Result<u64, FaultCode>, u64) {
     let mut hier = MemoryHierarchy::new(config);
     let mut accel = QeiAccelerator::new(config, scheme, 0);
-    let (done, result) = submit_b(&mut accel, Cycles(0), ha, ka, guest, &mut hier);
+    let (done, result) = accel.query_b(Cycles(0), ha, ka, guest, &mut hier);
     assert_eq!(accel.stats().faults, u64::from(result.is_err()));
     (done, result, accel.stats().tlb_lookups)
 }
@@ -140,7 +122,7 @@ fn corrupt_cyclic_structure_trips_the_watchdog() {
     let ka = stage_key(&mut guest, b"absent!!");
 
     let mut accel = QeiAccelerator::new(&config, Scheme::ChaTlb, 0);
-    let (_, result) = submit_b(&mut accel, Cycles(0), ha, ka, &mut guest, &mut hier);
+    let (_, result) = accel.query_b(Cycles(0), ha, ka, &mut guest, &mut hier);
     assert_eq!(result, Err(FaultCode::StepLimit));
 }
 
@@ -157,14 +139,7 @@ fn malformed_headers_are_rejected_before_any_walk() {
     let ka = stage_key(&mut guest, b"k0000001");
 
     let mut accel = QeiAccelerator::new(&config, Scheme::DeviceDirect, 0);
-    let (_, result) = submit_b(
-        &mut accel,
-        Cycles(0),
-        list.header_addr(),
-        ka,
-        &mut guest,
-        &mut hier,
-    );
+    let (_, result) = accel.query_b(Cycles(0), list.header_addr(), ka, &mut guest, &mut hier);
     assert_eq!(result, Err(FaultCode::MalformedHeader));
 }
 
@@ -181,9 +156,14 @@ fn interrupt_flush_aborts_nonblocking_queries_and_reissue_succeeds() {
     for i in 0..8u64 {
         let ka = stage_key(&mut guest, format!("k{:07}", 63 - i).as_bytes());
         keys.push((ka, 64 - i));
-        accel.submit(
-            QueryRequest::nonblocking(list.header_addr(), ka, results + i * 8),
-            SubmitCtx::new(Cycles(0), &mut guest, &mut hier),
+        let slot = results + i * 8;
+        accel.query_nb(
+            Cycles(0),
+            list.header_addr(),
+            ka,
+            slot,
+            &mut guest,
+            &mut hier,
         );
     }
     let flush_done = accel.flush(Cycles(1), &mut guest);
@@ -199,11 +179,16 @@ fn interrupt_flush_aborts_nonblocking_queries_and_reissue_succeeds() {
 
     // Software reissues after interrupt handling; everything completes.
     for (i, (ka, expect)) in keys.iter().enumerate() {
-        accel.submit(
-            QueryRequest::nonblocking(list.header_addr(), *ka, results + i as u64 * 8),
-            SubmitCtx::new(flush_done, &mut guest, &mut hier),
+        let slot = results + i as u64 * 8;
+        accel.query_nb(
+            flush_done,
+            list.header_addr(),
+            *ka,
+            slot,
+            &mut guest,
+            &mut hier,
         );
-        let wire = guest.read_u64(results + i as u64 * 8).unwrap();
+        let wire = guest.read_u64(slot).unwrap();
         assert_eq!(wire, *expect);
     }
 }
@@ -214,18 +199,11 @@ fn blocking_queries_after_flush_start_clean() {
     let list = list_with_items(&mut guest, 16);
     let mut accel = QeiAccelerator::new(&config, Scheme::CoreIntegrated, 0);
     let ka = stage_key(&mut guest, b"k0000003");
-    let (first_done, first) = submit_b(
-        &mut accel,
-        Cycles(0),
-        list.header_addr(),
-        ka,
-        &mut guest,
-        &mut hier,
-    );
+    let (first_done, first) =
+        accel.query_b(Cycles(0), list.header_addr(), ka, &mut guest, &mut hier);
     assert_eq!(first, Ok(4));
     let t = accel.flush(first_done, &mut guest);
-    let (second_done, second) =
-        submit_b(&mut accel, t, list.header_addr(), ka, &mut guest, &mut hier);
+    let (second_done, second) = accel.query_b(t, list.header_addr(), ka, &mut guest, &mut hier);
     assert_eq!(second, Ok(4));
     assert!(second_done > t);
 }

@@ -7,11 +7,11 @@
 //! walk) returns exactly what the software routine returns.
 
 use qei::accel::firmware::btree::{BPlusTreeCfa, BTREE_TYPE};
-use qei::accel::walk;
+use qei::accel::{bump_epoch, walk};
 use qei::cache::MemoryHierarchy;
 use qei::config::SimRng;
 use qei::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Number of randomized cases per property (each case gets its own seed, so
@@ -155,11 +155,12 @@ fn trie_firmware_matches_software_and_host_oracle() {
 type Probed = (&'static str, VirtAddr, Vec<VirtAddr>);
 
 /// Builds one of each of the eight structures the shipped CFAs walk and
-/// stages a few probe keys for each.
+/// stages a few probe keys for each, plus one key none of them holds.
 fn all_structures(mem: &mut GuestMem, rng: &mut SimRng, case: u64) -> Vec<Probed> {
     let mut out = Vec::new();
-    let mut probe = |mem: &mut GuestMem, name, header, keys: Vec<Vec<u8>>| {
-        let keys = keys.iter().map(|k| stage_key(mem, k)).collect();
+    let mut probe = |mem: &mut GuestMem, name, header, keys: Vec<Vec<u8>>, miss: &[u8]| {
+        let mut keys: Vec<VirtAddr> = keys.iter().map(|k| stage_key(mem, k)).collect();
+        keys.push(stage_key(mem, miss));
         out.push((name, header, keys));
     };
     let n = rng.range_inclusive(1, 39);
@@ -177,13 +178,39 @@ fn all_structures(mem: &mut GuestMem, rng: &mut SimRng, case: u64) -> Vec<Probed
         skip.insert(mem, &key8(i), i + 1).unwrap();
         bst.insert(mem, i * 3 + 1, i + 1).unwrap();
     }
-    probe(mem, "linked list", list.header_addr(), probes.clone());
-    probe(mem, "chained hash", chained.header_addr(), probes.clone());
-    probe(mem, "skip list", skip.header_addr(), probes.clone());
+    let absent = key8(999);
+    probe(
+        mem,
+        "linked list",
+        list.header_addr(),
+        probes.clone(),
+        &absent,
+    );
+    probe(
+        mem,
+        "chained hash",
+        chained.header_addr(),
+        probes.clone(),
+        &absent,
+    );
+    probe(
+        mem,
+        "skip list",
+        skip.header_addr(),
+        probes.clone(),
+        &absent,
+    );
     let ints: Vec<Vec<u8>> = (0..4)
         .map(|_| rng.below(3 * n + 3).to_be_bytes().to_vec())
         .collect();
-    probe(mem, "BST", bst.header_addr(), ints.clone());
+    // Stored integer keys are 1 + 3i, so 0 is absent.
+    probe(
+        mem,
+        "BST",
+        bst.header_addr(),
+        ints.clone(),
+        &0u64.to_be_bytes(),
+    );
 
     let mut cuckoo = CuckooHash::new(mem, 16, 4, 16, (case ^ 1, case ^ 2)).unwrap();
     for i in 0..n {
@@ -192,18 +219,30 @@ fn all_structures(mem: &mut GuestMem, rng: &mut SimRng, case: u64) -> Vec<Probed
     let flows = (0..4)
         .map(|_| format!("flow:{:011}", rng.below(60)).into_bytes())
         .collect();
-    probe(mem, "cuckoo hash", cuckoo.header_addr(), flows);
+    probe(
+        mem,
+        "cuckoo hash",
+        cuckoo.header_addr(),
+        flows,
+        b"flow:99999999999",
+    );
 
     let items: Vec<(u64, u64)> = (0..n).map(|i| (i * 3 + 1, i + 1)).collect();
     let btree = BPlusTree::build(mem, &items).unwrap();
-    probe(mem, "B+-tree", btree.header_addr(), ints);
+    probe(
+        mem,
+        "B+-tree",
+        btree.header_addr(),
+        ints,
+        &0u64.to_be_bytes(),
+    );
 
     let dict = vec![b"he".to_vec(), b"she".to_vec(), b"hers".to_vec()];
     let trie = AcTrie::build(mem, &dict, 32).unwrap();
     let texts = (0..2)
         .map(|_| (0..32).map(|_| b"hers "[rng.below(5) as usize]).collect())
         .collect();
-    probe(mem, "AC trie", trie.header_addr(), texts);
+    probe(mem, "AC trie", trie.header_addr(), texts, &[b' '; 32]);
 
     let routes = vec![(vec![10], 1), (vec![10, 0], 2), (vec![192, 168, 1], 3)];
     let lpm = LpmTrie::build(mem, &routes).unwrap();
@@ -213,22 +252,28 @@ fn all_structures(mem: &mut GuestMem, rng: &mut SimRng, case: u64) -> Vec<Probed
             vec![a, b, 1, rng.below(256) as u8]
         })
         .collect();
-    probe(mem, "LPM trie", lpm.header_addr(), addrs);
+    probe(mem, "LPM trie", lpm.header_addr(), addrs, &[172, 16, 1, 1]);
     out
 }
 
 /// The timed walk and the functional engine agree on every CFA: the same
 /// result, and per query the same count of each micro-op kind (the timed
-/// walk's memory ops add the header and key fetches).
+/// walk's memory ops add the header and key fetches). The same query issued
+/// as a `QUERY_NB` stores a word that reads back as the functional result
+/// through [`nb_word_matches`]: for hits, for misses (the `0 → 1` flag),
+/// and for a header whose odd epoch marks a mutation in flight.
 #[test]
 fn timing_walk_matches_functional_engine_across_schemes() {
     let config = MachineConfig::skylake_sp_24();
     let mut fw = FirmwareStore::with_builtins();
     fw.register(BTREE_TYPE, 0, Arc::new(BPlusTreeCfa));
+    // Per CFA: how many `QUERY_NB` words read back as hits and as misses.
+    let mut delivered: BTreeMap<&str, (u32, u32)> = BTreeMap::new();
     for case in 0..CASES {
         let mut rng = SimRng::seed_from_u64(0x66 * 1000 + case);
         let mut mem = GuestMem::new(case);
         let structures = all_structures(&mut mem, &mut rng, case);
+        let slot = mem.alloc(8, 8).unwrap();
         for scheme in Scheme::ALL {
             let mut hier = MemoryHierarchy::new(&config);
             let mut accel = QeiAccelerator::new(&config, scheme, 0);
@@ -236,21 +281,17 @@ fn timing_walk_matches_functional_engine_across_schemes() {
                 .firmware_mut()
                 .register(BTREE_TYPE, 0, Arc::new(BPlusTreeCfa));
             for (name, ha, keys) in &structures {
+                let at = format!("case {case}, {name}, {scheme}");
                 for &ka in keys {
                     let expected = walk(&fw, &mem, *ha, ka, &mut ());
                     let before = accel.stats();
-                    let (_, result) = accel
-                        .submit(
-                            QueryRequest::blocking(*ha, ka),
-                            SubmitCtx::new(Cycles(0), &mut mem, &mut hier),
-                        )
-                        .completed()
-                        .unwrap();
+                    let (_, result) = accel.query_b(Cycles(0), *ha, ka, &mut mem, &mut hier);
                     let s = accel.stats();
                     let c = expected.cost;
-                    let at = format!("case {case}, {name}, {scheme}");
                     assert_eq!(result, expected.result, "{at}");
-                    assert!(result.is_ok(), "{at}: {result:?}");
+                    let Ok(value) = result else {
+                        panic!("{at}: {result:?}");
+                    };
                     assert_eq!(s.mem_ops - before.mem_ops, c.read_ops + 2, "{at}");
                     assert_eq!(s.compares - before.compares, c.compare_ops, "{at}");
                     assert_eq!(
@@ -260,9 +301,34 @@ fn timing_walk_matches_functional_engine_across_schemes() {
                     );
                     assert_eq!(s.hashes - before.hashes, c.hash_ops, "{at}");
                     assert_eq!(s.alu_ops - before.alu_ops, c.alu_ops, "{at}");
+
+                    accel.query_nb(Cycles(0), *ha, ka, slot, &mut mem, &mut hier);
+                    let word = mem.read_u64(slot).unwrap();
+                    assert_eq!(nb_word_matches(word, value), Ok(true), "{at}: {word:#x}");
+                    let tally = delivered.entry(name).or_default();
+                    if value == RESULT_NOT_FOUND {
+                        tally.1 += 1;
+                    } else {
+                        tally.0 += 1;
+                    }
                 }
+                // An odd epoch: both engines refuse the walk.
+                bump_epoch(&mut mem, *ha).unwrap();
+                let stale = walk(&fw, &mem, *ha, keys[0], &mut ()).result;
+                assert_eq!(stale, Err(FaultCode::StaleStructure), "{at}");
+                accel.query_nb(Cycles(0), *ha, keys[0], slot, &mut mem, &mut hier);
+                let word = mem.read_u64(slot).unwrap();
+                assert_eq!(nb_word_matches(word, 0), stale.map(|_| true), "{at}");
+                bump_epoch(&mut mem, *ha).unwrap();
             }
         }
+    }
+    assert_eq!(delivered.len(), 8);
+    for (name, (hits, misses)) in delivered {
+        assert!(
+            hits > 0 && misses > 0,
+            "{name}: {hits} hits, {misses} misses"
+        );
     }
 }
 
